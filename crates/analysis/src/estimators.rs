@@ -13,18 +13,16 @@
 //! the validation experiments). Both emit [`RunTrace`], so the estimators
 //! are backend-agnostic.
 
-use axcc_core::axioms::{
-    convergence, efficiency, fairness, fast_utilization, friendliness, latency, loss_avoidance,
-    robustness,
-};
+use axcc_core::axioms::friendliness;
 use axcc_core::protocol::MAX_WINDOW;
-use axcc_core::{LinkParams, Protocol, RunTrace};
+use axcc_core::{LinkParams, Protocol, RunTrace, ScenarioError};
 use axcc_fluidsim::{
-    metric_accumulator_for, run_scenario_streaming, run_scenario_streaming_into, LossModel,
-    MetricAccumulator, MetricSet, Scenario, SenderConfig, StreamOptions,
+    metric_accumulator_for, try_run_scenario, try_run_scenario_streaming_into, Accumulator,
+    LossModel, MetricAccumulator, MetricConfig, MetricSet, Scenario, SenderConfig, StepSink,
+    StreamOptions,
 };
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
-use axcc_sweep::EvalMode;
+pub use axcc_sweep::EvalMode;
 use serde::{Deserialize, Serialize};
 
 /// Fraction of each run treated as transient.
@@ -34,11 +32,10 @@ pub const TAIL_FRACTION: f64 = 0.5;
 pub const FAST_UTIL_HORIZON: usize = 8;
 
 /// The β threshold the robustness estimators use for the escape witness
-/// ([`robustness::window_escapes`]' first argument on the trace path).
+/// ([`MetricAccumulator::window_escapes`]).
 pub const ROBUSTNESS_ESCAPE_BETA: f64 = 100.0;
 
-/// Streaming-evaluation options matching this module's estimator
-/// parameters, so the accumulator reproduces the trace path bit-for-bit.
+/// Accumulator options matching this module's estimator parameters.
 pub fn stream_options() -> StreamOptions {
     StreamOptions {
         tail_fraction: TAIL_FRACTION,
@@ -50,13 +47,62 @@ pub fn stream_options() -> StreamOptions {
 
 /// [`stream_options`] restricted to the metric families a job will
 /// actually read — the sink-specialization entry point: the accumulator
-/// skips every other family's per-block fold, which is what makes
-/// short-run streaming cheaper than tracing.
+/// skips every other family's per-block fold.
 pub fn stream_options_for(metrics: MetricSet) -> StreamOptions {
     StreamOptions {
         metrics,
         ..stream_options()
     }
+}
+
+/// Run a fluid `scenario` into `acc` — the one place an [`EvalMode`]
+/// acts. `acc` is reset first. Under [`EvalMode::Streaming`] the engine
+/// folds each step into `acc` as it runs; under [`EvalMode::Traced`] the
+/// run is recorded as a [`RunTrace`] and then replayed through `acc` in
+/// one pass. The accumulator is the same either way, so it ends holding
+/// the same scores to the bit; the mode only decides whether a trace is
+/// kept while scoring.
+pub fn try_eval_fluid<A: Accumulator + StepSink>(
+    scenario: Scenario,
+    acc: &mut A,
+    mode: EvalMode,
+) -> Result<(), ScenarioError> {
+    match mode {
+        EvalMode::Streaming => try_run_scenario_streaming_into(scenario, acc),
+        EvalMode::Traced => {
+            let trace = try_run_scenario(scenario)?;
+            acc.reset();
+            acc.push_steps(&trace.columns());
+            Ok(())
+        }
+    }
+}
+
+/// [`try_eval_fluid`] for scenarios built from validated experiment
+/// constants.
+///
+/// # Panics
+///
+/// Panics on an invalid scenario or a numerically divergent run.
+pub fn eval_fluid<A: Accumulator + StepSink>(scenario: Scenario, acc: &mut A, mode: EvalMode) {
+    // tidy-allow: panic-freedom — documented panicking façade over try_eval_fluid; fallible callers use the try_ path
+    try_eval_fluid(scenario, acc, mode).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// [`eval_fluid`] into a fresh [`MetricAccumulator`] built for
+/// `scenario` with `options`.
+///
+/// # Panics
+///
+/// Panics on an invalid scenario or a numerically divergent run.
+pub fn eval_metrics(
+    scenario: Scenario,
+    options: &StreamOptions,
+    mode: EvalMode,
+) -> MetricAccumulator {
+    let mut acc = metric_accumulator_for(&scenario, options);
+    eval_fluid(scenario, &mut acc, mode);
+    acc
 }
 
 /// Configuration of a homogeneous ("all senders employ P") sweep.
@@ -115,38 +161,24 @@ pub struct SoloMetrics {
     pub mean_utilization: f64,
 }
 
-/// Measure Metrics I–V and VIII for one trace.
+/// Measure Metrics I–V and VIII for one recorded trace (either backend)
+/// by replaying it through a [`MetricSet::SOLO`] accumulator.
 pub fn solo_metrics_of_trace(trace: &RunTrace) -> SoloMetrics {
-    let tail = trace.tail_start(TAIL_FRACTION);
-    let fast = trace
-        .senders
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| {
-            fast_utilization::measured_fast_utilization(
-                s,
-                trace.sender_rtt(i),
-                tail,
-                FAST_UTIL_HORIZON,
-            )
-        })
-        .fold(None, |acc: Option<f64>, v| {
-            Some(acc.map_or(v, |a| a.min(v)))
-        });
-    SoloMetrics {
-        efficiency: efficiency::measured_efficiency(trace, tail),
-        loss_bound: loss_avoidance::measured_loss_bound(trace, tail),
-        fairness: fairness::measured_fairness(trace, tail),
-        convergence: convergence::measured_convergence(trace, tail),
-        fast_utilization: fast,
-        latency_inflation: latency::measured_latency_inflation(trace, tail),
-        mean_utilization: efficiency::mean_utilization(trace, tail),
-    }
+    let options = stream_options_for(MetricSet::SOLO);
+    let mut acc = MetricAccumulator::new(&MetricConfig {
+        link: trace.link,
+        steps: trace.len(),
+        loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
+        tail_fraction: options.tail_fraction,
+        min_horizon: options.min_horizon,
+        escape_beta: options.escape_beta,
+        metrics: options.metrics,
+    });
+    acc.push_steps(&trace.columns());
+    solo_metrics_of_acc(&acc)
 }
 
-/// Measure Metrics I–V and VIII from a streaming accumulator — the
-/// trace-free counterpart of [`solo_metrics_of_trace`], bit-identical on
-/// the same run.
+/// Measure Metrics I–V and VIII from an accumulator holding them.
 pub fn solo_metrics_of_acc(acc: &MetricAccumulator) -> SoloMetrics {
     let fast = (0..acc.num_senders())
         .filter_map(|i| acc.measured_fast_utilization(i))
@@ -211,39 +243,9 @@ impl SoloMetrics {
 }
 
 /// Run the homogeneous sweep in the **fluid** model and return the
-/// worst-case (guaranteed) solo metrics.
-pub fn measure_solo_fluid(proto: &dyn Protocol, cfg: &SweepConfig) -> SoloMetrics {
-    let mut agg: Option<SoloMetrics> = None;
-    for init in &cfg.initial_configs {
-        assert_eq!(init.len(), cfg.n_senders, "config arity mismatch");
-        let mut sc = Scenario::new(cfg.link).steps(cfg.steps);
-        for &w in init {
-            sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
-        }
-        let trace = sc.run();
-        let m = solo_metrics_of_trace(&trace);
-        agg = Some(match agg {
-            None => m,
-            Some(a) => a.pointwise_worst(&m),
-        });
-    }
-    #[allow(clippy::expect_used)] // invariant: SweepConfig always carries configurations
-    // tidy-allow: panic-freedom — SweepConfig construction guarantees a non-empty sweep; None is unreachable
-    agg.expect("sweep had no configurations")
-}
-
-/// [`measure_solo_fluid`] under an explicit evaluation mode: the traced
-/// path records full traces and scores them; the streaming path folds the
-/// very same runs into one reused [`MetricAccumulator`] — same scores to
-/// the bit, no trace columns allocated.
-pub fn measure_solo_fluid_mode(
-    proto: &dyn Protocol,
-    cfg: &SweepConfig,
-    mode: EvalMode,
-) -> SoloMetrics {
-    if mode == EvalMode::Traced {
-        return measure_solo_fluid(proto, cfg);
-    }
+/// worst-case (guaranteed) solo metrics. All sweep configurations share
+/// one scenario shape, so one accumulator serves the whole sweep.
+pub fn measure_solo_fluid(proto: &dyn Protocol, cfg: &SweepConfig, mode: EvalMode) -> SoloMetrics {
     let opts = stream_options_for(MetricSet::SOLO);
     let mut acc: Option<MetricAccumulator> = None;
     let mut agg: Option<SoloMetrics> = None;
@@ -253,10 +255,8 @@ pub fn measure_solo_fluid_mode(
         for &w in init {
             sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
         }
-        // All sweep configurations share one scenario shape, so one
-        // accumulator serves the whole job.
         let acc = acc.get_or_insert_with(|| metric_accumulator_for(&sc, &opts));
-        run_scenario_streaming_into(sc, acc);
+        eval_fluid(sc, acc, mode);
         let m = solo_metrics_of_acc(acc);
         agg = Some(match agg {
             None => m,
@@ -298,38 +298,8 @@ pub fn measure_solo_packet(
 /// model: `n_p` P-senders and `n_q` Q-senders share the link; the score is
 /// the worst over the provided `(p_init, q_init)` initial-window pairs of
 /// `min_j avg_j(Q) / max_i avg_i(P)` over the tail.
-pub fn measure_friendliness_fluid(
-    p: &dyn Protocol,
-    q: &dyn Protocol,
-    link: LinkParams,
-    n_p: usize,
-    n_q: usize,
-    steps: usize,
-    initial_pairs: &[(f64, f64)],
-) -> f64 {
-    assert!(n_p > 0 && n_q > 0, "friendliness needs both sender sets");
-    let mut worst = f64::INFINITY;
-    for &(pi, qi) in initial_pairs {
-        let mut sc = Scenario::new(link).steps(steps);
-        for _ in 0..n_p {
-            sc = sc.sender(SenderConfig::new(p.clone_box()).initial_window(pi));
-        }
-        for _ in 0..n_q {
-            sc = sc.sender(SenderConfig::new(q.clone_box()).initial_window(qi));
-        }
-        let trace = sc.run();
-        let tail = trace.tail_start(TAIL_FRACTION);
-        let p_idx: Vec<usize> = (0..n_p).collect();
-        let q_idx: Vec<usize> = (n_p..n_p + n_q).collect();
-        let f = friendliness::measured_friendliness(&trace, &p_idx, &q_idx, tail);
-        worst = worst.min(f);
-    }
-    worst
-}
-
-/// [`measure_friendliness_fluid`] under an explicit evaluation mode.
 #[allow(clippy::too_many_arguments)]
-pub fn measure_friendliness_fluid_mode(
+pub fn measure_friendliness_fluid(
     p: &dyn Protocol,
     q: &dyn Protocol,
     link: LinkParams,
@@ -339,9 +309,6 @@ pub fn measure_friendliness_fluid_mode(
     initial_pairs: &[(f64, f64)],
     mode: EvalMode,
 ) -> f64 {
-    if mode == EvalMode::Traced {
-        return measure_friendliness_fluid(p, q, link, n_p, n_q, steps, initial_pairs);
-    }
     assert!(n_p > 0 && n_q > 0, "friendliness needs both sender sets");
     let opts = stream_options_for(MetricSet::FAIRNESS);
     let p_idx: Vec<usize> = (0..n_p).collect();
@@ -357,7 +324,7 @@ pub fn measure_friendliness_fluid_mode(
             sc = sc.sender(SenderConfig::new(q.clone_box()).initial_window(qi));
         }
         let acc = acc.get_or_insert_with(|| metric_accumulator_for(&sc, &opts));
-        run_scenario_streaming_into(sc, acc);
+        eval_fluid(sc, acc, mode);
         worst = worst.min(acc.measured_friendliness(&p_idx, &q_idx));
     }
     worst
@@ -407,44 +374,8 @@ pub fn empirically_more_aggressive(
     q: &dyn Protocol,
     link: LinkParams,
     steps: usize,
-) -> bool {
-    let ct = link.loss_threshold();
-    for (n_p, n_q) in [(1usize, 1usize), (2, 1), (1, 2)] {
-        for &(pi, qi) in &[(1.0, 1.0), (1.0, 0.8 * ct), (0.8 * ct, 1.0)] {
-            let mut sc = Scenario::new(link).steps(steps);
-            for _ in 0..n_p {
-                sc = sc.sender(SenderConfig::new(p.clone_box()).initial_window(pi));
-            }
-            for _ in 0..n_q {
-                sc = sc.sender(SenderConfig::new(q.clone_box()).initial_window(qi));
-            }
-            let trace = sc.run();
-            let tail = trace.tail_start(TAIL_FRACTION);
-            let worst_p = (0..n_p)
-                .map(|i| trace.senders[i].mean_goodput_from(tail))
-                .fold(f64::INFINITY, f64::min);
-            let best_q = (n_p..n_p + n_q)
-                .map(|j| trace.senders[j].mean_goodput_from(tail))
-                .fold(0.0, f64::max);
-            if worst_p <= best_q {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// [`empirically_more_aggressive`] under an explicit evaluation mode.
-pub fn empirically_more_aggressive_mode(
-    p: &dyn Protocol,
-    q: &dyn Protocol,
-    link: LinkParams,
-    steps: usize,
     mode: EvalMode,
 ) -> bool {
-    if mode == EvalMode::Traced {
-        return empirically_more_aggressive(p, q, link, steps);
-    }
     let opts = stream_options_for(MetricSet::FAIRNESS);
     let ct = link.loss_threshold();
     for (n_p, n_q) in [(1usize, 1usize), (2, 1), (1, 2)] {
@@ -456,7 +387,7 @@ pub fn empirically_more_aggressive_mode(
             for _ in 0..n_q {
                 sc = sc.sender(SenderConfig::new(q.clone_box()).initial_window(qi));
             }
-            let acc = run_scenario_streaming(sc, &opts);
+            let acc = eval_metrics(sc, &opts, mode);
             let worst_p = (0..n_p)
                 .map(|i| acc.tail_mean_goodput(i))
                 .fold(f64::INFINITY, f64::min);
@@ -481,45 +412,16 @@ pub const ROBUSTNESS_RATES: [f64; 7] = [0.001, 0.002, 0.005, 0.007, 0.009, 0.02,
 /// growing at the end of the run — the trace witness that it escapes every
 /// finite `β`). Returns 0 when even the smallest rate defeats the
 /// protocol.
-pub fn measure_robustness_fluid(proto: &dyn Protocol, rates: &[f64], steps: usize) -> f64 {
-    // A link whose capacity exceeds the model's maximum window: congestion
-    // loss can never occur.
-    let infinite = LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW);
-    let mut best = 0.0;
-    for &rate in rates {
-        let trace = Scenario::new(infinite)
-            .sender(SenderConfig::new(proto.clone_box()).initial_window(10.0))
-            .wire_loss(LossModel::Constant { rate })
-            .steps(steps)
-            .run();
-        let s = &trace.senders[0];
-        // Divergence evidence: clearly escaped the starting window AND
-        // either still growing at the end or already pinned at the model's
-        // maximum window `M` (aggressive climbers like PCC/BBR saturate
-        // the cap long before the run ends, which is the strongest escape
-        // a finite trace can witness).
-        let escaped = robustness::window_escapes(s, ROBUSTNESS_ESCAPE_BETA, 0.2);
-        let growing = robustness::window_diverging(s, 1e-9);
-        let capped = s.window.last().copied().unwrap_or(0.0) >= 0.9 * MAX_WINDOW;
-        if escaped && (growing || capped) {
-            best = rate.max(best);
-        }
-    }
-    best
-}
-
-/// [`measure_robustness_fluid`] under an explicit evaluation mode.
-pub fn measure_robustness_fluid_mode(
+pub fn measure_robustness_fluid(
     proto: &dyn Protocol,
     rates: &[f64],
     steps: usize,
     mode: EvalMode,
 ) -> f64 {
-    if mode == EvalMode::Traced {
-        return measure_robustness_fluid(proto, rates, steps);
-    }
-    let opts = stream_options_for(MetricSet::ROBUSTNESS);
+    // A link whose capacity exceeds the model's maximum window: congestion
+    // loss can never occur.
     let infinite = LinkParams::new(MAX_WINDOW * 100.0, 0.05, MAX_WINDOW);
+    let opts = stream_options_for(MetricSet::ROBUSTNESS);
     let mut acc: Option<MetricAccumulator> = None;
     let mut best = 0.0;
     for &rate in rates {
@@ -528,7 +430,12 @@ pub fn measure_robustness_fluid_mode(
             .wire_loss(LossModel::Constant { rate })
             .steps(steps);
         let acc = acc.get_or_insert_with(|| metric_accumulator_for(&sc, &opts));
-        run_scenario_streaming_into(sc, acc);
+        eval_fluid(sc, acc, mode);
+        // Divergence evidence: clearly escaped the starting window AND
+        // either still growing at the end or already pinned at the model's
+        // maximum window `M` (aggressive climbers like PCC/BBR saturate
+        // the cap long before the run ends, which is the strongest escape
+        // a finite trace can witness).
         let escaped = acc.window_escapes(0, 0.2);
         let growing = acc.window_diverging(0, 1e-9);
         let capped = acc.last_window(0) >= 0.9 * MAX_WINDOW;
@@ -547,25 +454,14 @@ pub fn empirical_scores_fluid(
     link: LinkParams,
     n_senders: usize,
     steps: usize,
-) -> axcc_core::AxiomScores {
-    empirical_scores_fluid_mode(proto, link, n_senders, steps, EvalMode::Traced)
-}
-
-/// [`empirical_scores_fluid`] under an explicit evaluation mode.
-pub fn empirical_scores_fluid_mode(
-    proto: &dyn Protocol,
-    link: LinkParams,
-    n_senders: usize,
-    steps: usize,
     mode: EvalMode,
 ) -> axcc_core::AxiomScores {
-    let solo = measure_solo_fluid_mode(proto, &SweepConfig::standard(link, n_senders, steps), mode);
+    let solo = measure_solo_fluid(proto, &SweepConfig::standard(link, n_senders, steps), mode);
     let reno = axcc_protocols::Aimd::reno();
     let ct = link.loss_threshold();
     let pairs = [(1.0, 1.0), (0.8 * ct, 1.0), (1.0, 0.8 * ct)];
-    let friendliness =
-        measure_friendliness_fluid_mode(proto, &reno, link, 1, 1, steps, &pairs, mode);
-    let robustness = measure_robustness_fluid_mode(proto, &ROBUSTNESS_RATES, steps, mode);
+    let friendliness = measure_friendliness_fluid(proto, &reno, link, 1, 1, steps, &pairs, mode);
+    let robustness = measure_robustness_fluid(proto, &ROBUSTNESS_RATES, steps, mode);
     axcc_core::AxiomScores {
         efficiency: solo.efficiency,
         fast_utilization: solo.fast_utilization.unwrap_or(0.0),
@@ -583,6 +479,8 @@ mod tests {
     use super::*;
     use axcc_protocols::{Aimd, Mimd, RobustAimd, Vegas};
 
+    const STREAM: EvalMode = EvalMode::Streaming;
+
     /// C = 100 MSS, τ = 20 MSS.
     fn link() -> LinkParams {
         LinkParams::new(1000.0, 0.05, 20.0)
@@ -590,7 +488,11 @@ mod tests {
 
     #[test]
     fn reno_solo_metrics_match_table1_shapes() {
-        let m = measure_solo_fluid(&Aimd::reno(), &SweepConfig::standard(link(), 2, 2000));
+        let m = measure_solo_fluid(
+            &Aimd::reno(),
+            &SweepConfig::standard(link(), 2, 2000),
+            STREAM,
+        );
         // Efficiency ≥ worst case b = 0.5, ≤ parameterized 0.5·1.2 = 0.6.
         assert!(m.efficiency >= 0.5 - 0.02, "eff {}", m.efficiency);
         assert!(m.efficiency <= 0.65, "eff {}", m.efficiency);
@@ -609,13 +511,15 @@ mod tests {
 
     #[test]
     fn mimd_unfair_in_skewed_config() {
-        let m = measure_solo_fluid(&Mimd::scalable(), &SweepConfig::standard(link(), 2, 2000));
+        let cfg = SweepConfig::standard(link(), 2, 2000);
+        let m = measure_solo_fluid(&Mimd::scalable(), &cfg, STREAM);
         assert!(m.fairness < 0.3, "fair {}", m.fairness);
     }
 
     #[test]
     fn vegas_latency_bounded_and_zero_loss() {
-        let m = measure_solo_fluid(&Vegas::classic(), &SweepConfig::standard(link(), 2, 2000));
+        let cfg = SweepConfig::standard(link(), 2, 2000);
+        let m = measure_solo_fluid(&Vegas::classic(), &cfg, STREAM);
         assert!(m.latency_inflation.is_finite());
         assert!(m.latency_inflation < 0.15, "lat {}", m.latency_inflation);
         assert_eq!(m.loss_bound, 0.0);
@@ -624,15 +528,8 @@ mod tests {
     #[test]
     fn reno_friendly_to_itself() {
         let reno = Aimd::reno();
-        let f = measure_friendliness_fluid(
-            &reno,
-            &reno,
-            link(),
-            1,
-            1,
-            3000,
-            &[(1.0, 1.0), (90.0, 1.0)],
-        );
+        let pairs = [(1.0, 1.0), (90.0, 1.0)];
+        let f = measure_friendliness_fluid(&reno, &reno, link(), 1, 1, 3000, &pairs, STREAM);
         assert!(f > 0.8, "self-friendliness {f}");
     }
 
@@ -641,8 +538,8 @@ mod tests {
         let reno = Aimd::reno();
         let fast = Aimd::new(4.0, 0.5);
         let pairs = [(1.0, 1.0)];
-        let f_fast = measure_friendliness_fluid(&fast, &reno, link(), 1, 1, 3000, &pairs);
-        let f_self = measure_friendliness_fluid(&reno, &reno, link(), 1, 1, 3000, &pairs);
+        let f_fast = measure_friendliness_fluid(&fast, &reno, link(), 1, 1, 3000, &pairs, STREAM);
+        let f_self = measure_friendliness_fluid(&reno, &reno, link(), 1, 1, 3000, &pairs, STREAM);
         assert!(f_fast < f_self, "{f_fast} vs {f_self}");
         // Theorem 2 ballpark: 3(1−b)/(a(1+b)) = 0.25.
         assert!(f_fast < 0.5, "{f_fast}");
@@ -660,32 +557,35 @@ mod tests {
             syntactically_more_aggressive(&ProtocolSpec::SCALABLE_AIMD, &ProtocolSpec::RENO),
             Some(true)
         );
-        assert!(empirically_more_aggressive(&scalable, &reno, l, 3000));
+        assert!(empirically_more_aggressive(
+            &scalable, &reno, l, 3000, STREAM
+        ));
         // MIMD > AIMD.
         assert!(empirically_more_aggressive(
             &Mimd::scalable(),
             &reno,
             l,
-            3000
+            3000,
+            STREAM
         ));
         // And the relation is not reflexive-ish: Reno vs Reno fails
         // (goodputs converge, no strict winner).
-        assert!(!empirically_more_aggressive(&reno, &reno, l, 3000));
+        assert!(!empirically_more_aggressive(&reno, &reno, l, 3000, STREAM));
     }
 
     #[test]
     fn robustness_scores_match_design() {
         // Plain AIMD: 0-robust.
-        let r = measure_robustness_fluid(&Aimd::reno(), &ROBUSTNESS_RATES, 1500);
+        let r = measure_robustness_fluid(&Aimd::reno(), &ROBUSTNESS_RATES, 1500, STREAM);
         assert_eq!(r, 0.0);
         // Robust-AIMD(·,·,0.01): robust up to just below ε = 1%.
-        let r = measure_robustness_fluid(&RobustAimd::table2(), &ROBUSTNESS_RATES, 1500);
+        let r = measure_robustness_fluid(&RobustAimd::table2(), &ROBUSTNESS_RATES, 1500, STREAM);
         assert!((r - 0.009).abs() < 1e-12, "robustness {r}");
     }
 
     #[test]
     fn empirical_scores_assemble() {
-        let s = empirical_scores_fluid(&Aimd::reno(), link(), 2, 1500);
+        let s = empirical_scores_fluid(&Aimd::reno(), link(), 2, 1500, STREAM);
         assert!(s.efficiency > 0.4);
         assert!(s.tcp_friendliness > 0.7); // Reno vs Reno
         assert_eq!(s.robustness, 0.0);
@@ -713,87 +613,64 @@ mod tests {
         assert_eq!(w.fast_utilization, Some(1.0));
     }
 
-    /// Every field of two [`SoloMetrics`] equal to the bit.
-    fn assert_solo_bits_equal(a: &SoloMetrics, b: &SoloMetrics) {
-        assert_eq!(a.efficiency.to_bits(), b.efficiency.to_bits());
-        assert_eq!(a.loss_bound.to_bits(), b.loss_bound.to_bits());
-        assert_eq!(a.fairness.to_bits(), b.fairness.to_bits());
-        assert_eq!(a.convergence.to_bits(), b.convergence.to_bits());
-        assert_eq!(
-            a.fast_utilization.map(f64::to_bits),
-            b.fast_utilization.map(f64::to_bits)
-        );
-        assert_eq!(a.latency_inflation.to_bits(), b.latency_inflation.to_bits());
-        assert_eq!(a.mean_utilization.to_bits(), b.mean_utilization.to_bits());
+    /// Every field of a [`SoloMetrics`] as bits.
+    fn solo_bits(m: &SoloMetrics) -> [Option<u64>; 7] {
+        [
+            Some(m.efficiency.to_bits()),
+            Some(m.loss_bound.to_bits()),
+            Some(m.fairness.to_bits()),
+            Some(m.convergence.to_bits()),
+            m.fast_utilization.map(f64::to_bits),
+            Some(m.latency_inflation.to_bits()),
+            Some(m.mean_utilization.to_bits()),
+        ]
     }
 
     #[test]
-    fn streaming_solo_metrics_match_traced_bit_for_bit() {
+    fn both_modes_give_identical_solo_metrics() {
         for proto in [
             Box::new(Aimd::reno()) as Box<dyn axcc_core::Protocol>,
             Box::new(Mimd::scalable()),
             Box::new(Vegas::classic()),
         ] {
             let cfg = SweepConfig::standard(link(), 2, 600);
-            let traced = measure_solo_fluid_mode(proto.as_ref(), &cfg, EvalMode::Traced);
-            let streamed = measure_solo_fluid_mode(proto.as_ref(), &cfg, EvalMode::Streaming);
-            assert_solo_bits_equal(&traced, &streamed);
+            let traced = measure_solo_fluid(proto.as_ref(), &cfg, EvalMode::Traced);
+            let streamed = measure_solo_fluid(proto.as_ref(), &cfg, STREAM);
+            assert_eq!(solo_bits(&traced), solo_bits(&streamed));
         }
     }
 
     #[test]
-    fn streaming_friendliness_matches_traced_bit_for_bit() {
-        let reno = Aimd::reno();
-        let fast = Aimd::new(4.0, 0.5);
-        let pairs = [(1.0, 1.0), (90.0, 1.0)];
-        let traced = measure_friendliness_fluid_mode(
-            &fast,
-            &reno,
-            link(),
-            1,
-            2,
-            800,
-            &pairs,
-            EvalMode::Traced,
+    fn solo_metrics_of_trace_replays_the_solo_set() {
+        // The trace scorer and a streamed SOLO accumulator agree on the
+        // same run, including per-sender fast-utilization.
+        let build = || {
+            Scenario::new(link())
+                .homogeneous(&Vegas::classic(), 2, 1.0)
+                .steps(700)
+        };
+        let traced = solo_metrics_of_trace(&build().run());
+        let streamed = eval_metrics(build(), &stream_options_for(MetricSet::SOLO), STREAM);
+        assert_eq!(
+            solo_bits(&traced),
+            solo_bits(&solo_metrics_of_acc(&streamed))
         );
-        let streamed = measure_friendliness_fluid_mode(
-            &fast,
-            &reno,
-            link(),
-            1,
-            2,
-            800,
-            &pairs,
-            EvalMode::Streaming,
-        );
-        assert_eq!(traced.to_bits(), streamed.to_bits());
     }
 
     #[test]
-    fn streaming_robustness_matches_traced() {
+    fn both_modes_give_identical_friendliness_robustness_and_aggressiveness() {
+        let reno = Aimd::reno();
+        let fast = Aimd::new(4.0, 0.5);
+        let pairs = [(1.0, 1.0), (90.0, 1.0)];
+        let f = |mode| measure_friendliness_fluid(&fast, &reno, link(), 1, 2, 800, &pairs, mode);
+        assert_eq!(f(EvalMode::Traced).to_bits(), f(STREAM).to_bits());
         for proto in [
             Box::new(Aimd::reno()) as Box<dyn axcc_core::Protocol>,
             Box::new(RobustAimd::table2()),
         ] {
-            let traced = measure_robustness_fluid_mode(
-                proto.as_ref(),
-                &ROBUSTNESS_RATES,
-                1000,
-                EvalMode::Traced,
-            );
-            let streamed = measure_robustness_fluid_mode(
-                proto.as_ref(),
-                &ROBUSTNESS_RATES,
-                1000,
-                EvalMode::Streaming,
-            );
-            assert_eq!(traced.to_bits(), streamed.to_bits());
+            let r = |mode| measure_robustness_fluid(proto.as_ref(), &ROBUSTNESS_RATES, 1000, mode);
+            assert_eq!(r(EvalMode::Traced).to_bits(), r(STREAM).to_bits());
         }
-    }
-
-    #[test]
-    fn streaming_aggressiveness_matches_traced() {
-        let reno = Aimd::reno();
         let mimd = Mimd::scalable();
         for (p, q) in [
             (
@@ -803,8 +680,20 @@ mod tests {
             (&reno, &reno),
         ] {
             assert_eq!(
-                empirically_more_aggressive_mode(p, q, link(), 800, EvalMode::Traced),
-                empirically_more_aggressive_mode(p, q, link(), 800, EvalMode::Streaming),
+                empirically_more_aggressive(p, q, link(), 800, EvalMode::Traced),
+                empirically_more_aggressive(p, q, link(), 800, STREAM),
+            );
+        }
+    }
+
+    #[test]
+    fn eval_helper_surfaces_invalid_scenarios_in_both_modes() {
+        for mode in [EvalMode::Traced, STREAM] {
+            let sc = Scenario::new(link()).steps(100);
+            let mut acc = metric_accumulator_for(&sc, &stream_options());
+            assert_eq!(
+                try_eval_fluid(sc, &mut acc, mode),
+                Err(ScenarioError::NoSenders)
             );
         }
     }
@@ -818,6 +707,6 @@ mod tests {
             steps: 100,
             initial_configs: vec![vec![1.0]],
         };
-        measure_solo_fluid(&Aimd::reno(), &cfg);
+        measure_solo_fluid(&Aimd::reno(), &cfg, STREAM);
     }
 }

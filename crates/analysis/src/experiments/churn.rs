@@ -21,17 +21,18 @@
 //! * **utilization under churn** — mean link utilization over the steps
 //!   where at least one flow (base or churned) is active.
 //!
-//! In streaming mode the scores come from the single-pass
-//! [`ChurnAccumulator`]; in traced mode from the slice evaluators on the
-//! recorded trace — bit-identical by construction, which the registry's
-//! mode-identity test enforces.
+//! The scores come from the single-pass [`ChurnAccumulator`], fed as the
+//! engine runs in streaming mode and replayed from the recorded trace in
+//! traced mode — the same accumulator either way, which the registry's
+//! mode-identity test confirms.
 
+use crate::estimators::eval_fluid;
 use crate::report::{fmt_score, TextTable};
-use axcc_core::axioms::churn::{self as churn_ax, ChurnAccumulator, ChurnConfig};
+use axcc_core::axioms::churn::{ChurnAccumulator, ChurnConfig};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{try_run_scenario_with, ChurnPlan, Scenario};
+use axcc_fluidsim::{ChurnPlan, Scenario};
 use axcc_packetsim::PacketScenario;
 use axcc_protocols::{presets, Binomial};
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
@@ -111,48 +112,25 @@ fn churn_markers(plan: &ChurnPlan, steps: usize) -> ChurnConfig {
     }
 }
 
-/// Score one fluid cell: (settle, coexistence fairness, utilization).
-/// The two modes are bit-identical — the streaming path folds each step
-/// into the [`ChurnAccumulator`] as the engine runs; the traced path
-/// records the full trace and applies the slice evaluators.
+/// Score one fluid cell: (settle, coexistence fairness, utilization),
+/// from a [`ChurnAccumulator`] the run is evaluated into.
 fn churn_cell(proto: &dyn Protocol, rate: f64, steps: usize, mode: EvalMode) -> (f64, f64, f64) {
     let plan = churn_plan(rate);
     let cfg = churn_markers(&plan, steps);
     let n = BASE_SENDERS + cfg.arrivals.len();
-    let build = || {
-        Scenario::new(churn_link())
-            .homogeneous(proto, BASE_SENDERS, 1.0)
-            .steps(steps)
-            .churn(&plan, proto)
-            // tidy-allow: panic-freedom — the plan is built from validated experiment constants; expansion cannot fail
-            .unwrap_or_else(|e| panic!("{e}"))
-    };
-    match mode {
-        EvalMode::Streaming => {
-            let mut acc = ChurnAccumulator::new(&cfg, n);
-            // tidy-allow: panic-freedom — same validated scenario as the traced arm's panicking façade
-            try_run_scenario_with(build(), &mut acc).unwrap_or_else(|e| panic!("{e}"));
-            (
-                acc.mean_settle_after_arrival(),
-                acc.coexistence_fairness(),
-                acc.utilization_under_churn(),
-            )
-        }
-        EvalMode::Traced => {
-            let trace = build().run();
-            let goodputs: Vec<&[f64]> =
-                trace.senders.iter().map(|s| s.goodput.as_slice()).collect();
-            (
-                churn_ax::mean_settle_after_arrival(
-                    &trace.total_window,
-                    &cfg.arrivals,
-                    cfg.settle_threshold,
-                ),
-                churn_ax::coexistence_fairness(&goodputs, &cfg.boundaries, steps),
-                churn_ax::utilization_under_churn(&trace.total_window, cfg.capacity, &cfg.activity),
-            )
-        }
-    }
+    let scenario = Scenario::new(churn_link())
+        .homogeneous(proto, BASE_SENDERS, 1.0)
+        .steps(steps)
+        .churn(&plan, proto)
+        // tidy-allow: panic-freedom — the plan is built from validated experiment constants; expansion cannot fail
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut acc = ChurnAccumulator::new(&cfg, n);
+    eval_fluid(scenario, &mut acc, mode);
+    (
+        acc.mean_settle_after_arrival(),
+        acc.coexistence_fairness(),
+        acc.utilization_under_churn(),
+    )
 }
 
 /// Tail utilization of a packet-level run under the arrival storm

@@ -25,21 +25,16 @@
 //! dominance check, which matters at 10⁵ cells.
 //!
 //! Jobs are evaluation-mode aware the same way the rest of the registry
-//! is: the streaming path folds each run into a reused
-//! [`MetricAccumulator`](axcc_fluidsim::MetricAccumulator) and produces
-//! bit-identical scores to the traced path, so `explore` runs trace-free
-//! under the default runner mode.
+//! is: each run is scored by a
+//! [`MetricAccumulator`](axcc_fluidsim::MetricAccumulator), streamed into
+//! under the default runner mode and replayed from a recorded trace under
+//! `--record-traces`, with bit-identical scores either way.
 
-use crate::estimators::{
-    solo_metrics_of_acc, solo_metrics_of_trace, stream_options_for, SoloMetrics,
-};
+use crate::estimators::{eval_metrics, solo_metrics_of_acc, stream_options_for, SoloMetrics};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{
-    metric_accumulator_for, run_scenario_streaming_into, LossModel, MetricSet, Scenario,
-    SenderConfig,
-};
+use axcc_fluidsim::{LossModel, MetricSet, Scenario, SenderConfig};
 use axcc_protocols::{Aimd, Binomial, Cubic, Mimd, RobustAimd};
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
 use serde::Serialize;
@@ -283,9 +278,6 @@ pub fn expected_jobs(budget: RunBudget) -> usize {
 
 /// Score one cell: a two-sender homogeneous fluid run on `link` under
 /// Bernoulli wire loss at `loss` (clean when 0), evaluated in `mode`.
-/// Both modes run the identical engine step sequence; streaming folds it
-/// into an accumulator instead of recording a trace, and the scores are
-/// bit-identical.
 fn cell_metrics(
     point: &ParamPoint,
     loss: f64,
@@ -294,25 +286,18 @@ fn cell_metrics(
     mode: EvalMode,
 ) -> SoloMetrics {
     let proto = point.build();
-    let scenario = || {
-        let mut sc = Scenario::new(link).steps(steps).seed(EXPLORE_SEED);
-        if loss > 0.0 {
-            sc = sc.wire_loss(LossModel::Bernoulli { rate: loss });
-        }
-        for &w in &INITIAL_WINDOWS {
-            sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
-        }
-        sc
-    };
-    match mode {
-        EvalMode::Traced => solo_metrics_of_trace(&scenario().run()),
-        EvalMode::Streaming => {
-            let sc = scenario();
-            let mut acc = metric_accumulator_for(&sc, &stream_options_for(MetricSet::SOLO));
-            run_scenario_streaming_into(sc, &mut acc);
-            solo_metrics_of_acc(&acc)
-        }
+    let mut sc = Scenario::new(link).steps(steps).seed(EXPLORE_SEED);
+    if loss > 0.0 {
+        sc = sc.wire_loss(LossModel::Bernoulli { rate: loss });
     }
+    for &w in &INITIAL_WINDOWS {
+        sc = sc.sender(SenderConfig::new(proto.clone_box()).initial_window(w));
+    }
+    solo_metrics_of_acc(&eval_metrics(
+        sc,
+        &stream_options_for(MetricSet::SOLO),
+        mode,
+    ))
 }
 
 /// One cell of the exploration grid: a parameter point at a loss level.

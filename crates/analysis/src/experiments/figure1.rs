@@ -13,7 +13,7 @@
 //! confirming that the analytic frontier points are attained (within
 //! simulation tolerance) and never exceeded.
 
-use crate::estimators::{measure_friendliness_fluid_mode, measure_solo_fluid_mode, SweepConfig};
+use crate::estimators::{measure_friendliness_fluid, measure_solo_fluid, SweepConfig};
 use crate::pareto::{pareto_front_indices, ScoredPoint, FIGURE1_METRICS};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
@@ -126,12 +126,12 @@ impl SweepJob for PointJob {
     fn run(&self) -> MeasuredPoint {
         let aimd = Aimd::new(self.alpha, self.beta);
         let reno = Aimd::reno();
-        let solo = measure_solo_fluid_mode(
+        let solo = measure_solo_fluid(
             &aimd,
             &SweepConfig::standard(self.link, 2, self.steps),
             self.mode,
         );
-        let friendliness = measure_friendliness_fluid_mode(
+        let friendliness = measure_friendliness_fluid(
             &aimd,
             &reno,
             self.link,

@@ -15,7 +15,7 @@
 //!    earns its place on *some* axis, which is the axiomatic framing's
 //!    whole point.
 
-use crate::estimators::empirical_scores_fluid_mode;
+use crate::estimators::empirical_scores_fluid;
 use crate::pareto::{pareto_front_indices, ScoredPoint, FIGURE1_METRICS};
 use crate::report::{fmt_score, TextTable};
 use axcc_core::axioms::Metric;
@@ -91,7 +91,7 @@ impl SweepJob for CandidateJob {
     type Output = axcc_core::AxiomScores;
     fn run(&self) -> axcc_core::AxiomScores {
         let pool = candidate_pool();
-        empirical_scores_fluid_mode(
+        empirical_scores_fluid(
             pool[self.index].as_ref(),
             self.link,
             2,

@@ -41,15 +41,12 @@
 //! flow's goodput share relative to the mean short flow — how badly the
 //! protocol's dynamics punish multi-bottleneck paths.
 
-use crate::estimators::{stream_options_for, TAIL_FRACTION};
+use crate::estimators::{eval_metrics, stream_options_for, TAIL_FRACTION};
 use crate::report::{fmt_score, TextTable};
-use axcc_core::axioms::{efficiency, friendliness, robustness};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{
-    run_scenario_streaming, LossModel, MetricSet, Scenario, SenderConfig, StreamOptions,
-};
+use axcc_fluidsim::{LossModel, MetricSet, Scenario, SenderConfig, StreamOptions};
 use axcc_protocols::presets;
 use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
 use serde::Serialize;
@@ -168,7 +165,7 @@ fn reference_model() -> LossModel {
     cell_model(4, 0.005)
 }
 
-/// Streaming options for gauntlet cells, restricted to the metric
+/// Accumulator options for gauntlet cells, restricted to the metric
 /// families `metrics` (each gauntlet tier reads exactly one or two
 /// scores, so the accumulator skips every other family's fold) with the
 /// escape threshold lowered to the gauntlet's β.
@@ -200,13 +197,7 @@ fn withstands(
         .wire_loss(*model)
         .steps(steps)
         .seed(seed);
-    match mode {
-        EvalMode::Traced => robustness::window_escapes(&sc.run().senders[0], BETA, 0.2),
-        EvalMode::Streaming => {
-            run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::ROBUSTNESS))
-                .window_escapes(0, 0.2)
-        }
-    }
+    eval_metrics(sc, &gauntlet_stream_options(MetricSet::ROBUSTNESS), mode).window_escapes(0, 0.2)
 }
 
 /// Largest withstood burst frequency for one burst length.
@@ -234,16 +225,7 @@ fn impaired_efficiency(proto: &dyn Protocol, steps: usize, mode: EvalMode) -> f6
         .wire_loss(reference_model())
         .steps(steps)
         .seed(GAUNTLET_SEEDS[0]);
-    match mode {
-        EvalMode::Traced => {
-            let trace = sc.run();
-            efficiency::measured_efficiency(&trace, trace.tail_start(TAIL_FRACTION))
-        }
-        EvalMode::Streaming => {
-            run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::EFFICIENCY))
-                .measured_efficiency()
-        }
-    }
+    eval_metrics(sc, &gauntlet_stream_options(MetricSet::EFFICIENCY), mode).measured_efficiency()
 }
 
 /// Metric VII vs Reno on the congested link under the reference
@@ -256,16 +238,8 @@ fn impaired_friendliness(proto: &dyn Protocol, steps: usize, mode: EvalMode) -> 
         .wire_loss(reference_model())
         .steps(steps)
         .seed(GAUNTLET_SEEDS[0]);
-    match mode {
-        EvalMode::Traced => {
-            let trace = sc.run();
-            friendliness::measured_friendliness(&trace, &[0], &[1], trace.tail_start(TAIL_FRACTION))
-        }
-        EvalMode::Streaming => {
-            run_scenario_streaming(sc, &gauntlet_stream_options(MetricSet::FAIRNESS))
-                .measured_friendliness(&[0], &[1])
-        }
-    }
+    eval_metrics(sc, &gauntlet_stream_options(MetricSet::FAIRNESS), mode)
+        .measured_friendliness(&[0], &[1])
 }
 
 /// Write the gauntlet's fixed grid into a job fingerprint: any change to

@@ -108,10 +108,10 @@ pub struct Experiment {
     /// Run the experiment through a sweep runner at the given budget.
     pub run: fn(&SweepRunner, RunBudget) -> ExperimentOutcome,
     /// Whether the experiment honours the runner's
-    /// [`EvalMode`](axcc_sweep::EvalMode) and can run trace-free. The
-    /// packet-level experiments (table2, emulab, aqm) and the extension
-    /// metrics (which need whole-trace statistics like smoothness) always
-    /// record traces regardless of the runner's mode.
+    /// [`EvalMode`](axcc_sweep::EvalMode). The packet-level experiments
+    /// (emulab, aqm) and the extension metrics (which need whole-trace
+    /// statistics like smoothness) always record traces; table2's fluid
+    /// cells always stream (their cache addresses carry no mode).
     pub supports_streaming: bool,
 }
 
@@ -421,7 +421,8 @@ mod tests {
     #[test]
     fn traced_only_experiments_are_flagged() {
         // The packet-level experiments and the whole-trace extension
-        // metrics cannot stream; everything fluid-and-metric-only can.
+        // metrics cannot stream, and table2's cells carry no mode;
+        // everything else honours the runner's mode.
         for e in registry() {
             let expect = !matches!(e.name, "table2" | "emulab" | "aqm" | "extensions");
             assert_eq!(e.supports_streaming, expect, "{}", e.name);

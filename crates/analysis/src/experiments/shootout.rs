@@ -18,7 +18,7 @@
 //! the `gen-table2 --shootout`-style binaries.
 
 use crate::estimators::{
-    measure_robustness_fluid_mode, measure_solo_fluid_mode, stream_options_for, SweepConfig,
+    eval_metrics, measure_robustness_fluid, measure_solo_fluid, stream_options_for, SweepConfig,
     ROBUSTNESS_RATES,
 };
 use crate::report::{fmt_score, TextTable};
@@ -131,7 +131,7 @@ impl SweepJob for LineupJob {
         let proto = &lineup[self.index];
         let steps = self.steps;
         let robustness =
-            measure_robustness_fluid_mode(proto.as_ref(), &ROBUSTNESS_RATES, steps, self.mode);
+            measure_robustness_fluid(proto.as_ref(), &ROBUSTNESS_RATES, steps, self.mode);
         let clean = noisy_goodput(proto.as_ref(), 0.0, steps, self.mode);
         let mut retention = [0.0; 3];
         for (i, &rate) in NOISE_RATES.iter().enumerate() {
@@ -141,7 +141,7 @@ impl SweepJob for LineupJob {
                 0.0
             };
         }
-        let solo = measure_solo_fluid_mode(
+        let solo = measure_solo_fluid(
             proto.as_ref(),
             &SweepConfig::standard(congested_link(), 2, steps),
             self.mode,
@@ -185,17 +185,7 @@ fn noisy_goodput(proto: &dyn Protocol, rate: f64, steps: usize, mode: EvalMode) 
     if rate > 0.0 {
         sc = sc.wire_loss(LossModel::Constant { rate });
     }
-    match mode {
-        EvalMode::Traced => {
-            let trace = sc.run();
-            let tail = trace.tail_start(0.5);
-            trace.senders[0].mean_goodput_from(tail)
-        }
-        EvalMode::Streaming => {
-            axcc_fluidsim::run_scenario_streaming(sc, &stream_options_for(MetricSet::FAIRNESS))
-                .tail_mean_goodput(0)
-        }
-    }
+    eval_metrics(sc, &stream_options_for(MetricSet::FAIRNESS), mode).tail_mean_goodput(0)
 }
 
 impl Shootout {

@@ -9,7 +9,7 @@
 //! the fluid simulator — the in-model counterpart of the paper's Emulab
 //! validation (the packet-level grid lives in [`super::emulab`]).
 
-use crate::estimators::empirical_scores_fluid_mode;
+use crate::estimators::empirical_scores_fluid;
 use crate::report::{fmt_score, TextTable};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::theory::ProtocolSpec;
@@ -104,7 +104,7 @@ impl SweepJob for MeasureJob {
     type Output = AxiomScores;
     fn run(&self) -> AxiomScores {
         let proto = build_protocol(&self.spec);
-        empirical_scores_fluid_mode(proto.as_ref(), self.link, self.n, self.steps, self.mode)
+        empirical_scores_fluid(proto.as_ref(), self.link, self.n, self.steps, self.mode)
     }
 }
 

@@ -21,10 +21,10 @@ use crate::report::{fmt_ratio, TextTable};
 use axcc_core::axioms::friendliness::measured_friendliness;
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::units::Bandwidth;
-use axcc_core::LinkParams;
+use axcc_core::{LinkParams, Protocol};
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::{Aimd, Pcc, RobustAimd};
-use axcc_sweep::{SweepJob, SweepRunner};
+use axcc_sweep::{EvalMode, SweepJob, SweepRunner};
 use serde::Serialize;
 
 /// The paper's sender counts.
@@ -35,6 +35,10 @@ pub const TABLE2_BWS: [f64; 4] = [20.0, 30.0, 60.0, 100.0];
 pub const TABLE2_RTT_MS: f64 = 42.0;
 /// The paper's buffer (MSS).
 pub const TABLE2_BUFFER_MSS: f64 = 100.0;
+
+/// Fluid cells always stream: the cell fingerprints carry no evaluation
+/// mode, so a cached cell must not depend on one.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 /// One `(n, BW)` cell.
 #[derive(Debug, Clone, Serialize)]
@@ -125,10 +129,10 @@ impl SweepJob for CellJob {
             Table2Backend::Fluid => {
                 let pairs = [(1.0, 1.0)];
                 let steps = self.budget as usize;
-                (
-                    measure_friendliness_fluid(&robust, &reno, link, n_p, 1, steps, &pairs),
-                    measure_friendliness_fluid(&Pcc::new(), &reno, link, n_p, 1, steps, &pairs),
-                )
+                let f = |p: &dyn Protocol| {
+                    measure_friendliness_fluid(p, &reno, link, n_p, 1, steps, &pairs, STREAMING)
+                };
+                (f(&robust), f(&Pcc::new()))
             }
             Table2Backend::Packet => (
                 measure_friendliness_packet(&robust, &reno, link, n_p, 1, self.budget, 0),
@@ -273,9 +277,10 @@ mod tests {
             LinkParams::from_experiment(Bandwidth::Mbps(20.0), TABLE2_RTT_MS, TABLE2_BUFFER_MSS);
         let reno = Aimd::reno();
         let pairs = [(1.0, 1.0)];
-        let f_r =
-            measure_friendliness_fluid(&RobustAimd::table2(), &reno, link, 1, 1, 4000, &pairs);
-        let f_p = measure_friendliness_fluid(&Pcc::new(), &reno, link, 1, 1, 4000, &pairs);
+        let f = |p: &dyn Protocol| {
+            measure_friendliness_fluid(p, &reno, link, 1, 1, 4000, &pairs, STREAMING)
+        };
+        let (f_r, f_p) = (f(&RobustAimd::table2()), f(&Pcc::new()));
         assert!(
             f_r > f_p,
             "Robust-AIMD friendliness {f_r} should exceed PCC's {f_p}"

@@ -9,17 +9,16 @@
 //! theorem.
 
 use crate::estimators::{
-    measure_friendliness_fluid_mode, measure_robustness_fluid_mode, measure_solo_fluid_mode,
+    eval_metrics, measure_friendliness_fluid, measure_robustness_fluid, measure_solo_fluid,
     stream_options_for, SweepConfig, ROBUSTNESS_RATES,
 };
-use axcc_core::axioms::{fast_utilization, loss_avoidance};
 use axcc_core::fingerprint::{Fingerprint, Fingerprinter};
 use axcc_core::theory::theorems::{
     theorem1_efficiency_lower_bound, theorem2_friendliness_upper_bound,
     theorem3_friendliness_upper_bound,
 };
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{run_scenario_streaming, MetricSet, Scenario, SenderConfig};
+use axcc_fluidsim::{MetricSet, Scenario, SenderConfig};
 use axcc_protocols::{Aimd, CautiousProber, Mimd, RobustAimd, Vegas};
 use axcc_sweep::{Cacheable, EvalMode, Record, SweepJob, SweepRunner};
 use serde::Serialize;
@@ -129,44 +128,17 @@ pub fn check_claim1(steps: usize, mode: EvalMode) -> TheoremCheck {
             .sender(SenderConfig::new(p).initial_window(1.0))
             .steps(steps)
     };
-    let (prober_zero_loss, prober_fast, reno_lossy, reno_fast) = match mode {
-        EvalMode::Traced => {
-            let prober_trace = scenario(Box::new(CautiousProber::default_probe())).run();
-            let reno_trace = scenario(Box::new(Aimd::reno())).run();
-            let tail = prober_trace.tail_start(0.5);
-            (
-                loss_avoidance::is_zero_loss(&prober_trace, tail),
-                fast_utilization::measured_fast_utilization(
-                    &prober_trace.senders[0],
-                    prober_trace.sender_rtt(0),
-                    tail,
-                    8,
-                )
-                .unwrap_or(0.0),
-                !loss_avoidance::is_zero_loss(&reno_trace, reno_trace.tail_start(0.5)),
-                fast_utilization::measured_fast_utilization(
-                    &reno_trace.senders[0],
-                    reno_trace.sender_rtt(0),
-                    reno_trace.tail_start(0.5),
-                    8,
-                )
-                .unwrap_or(0.0),
-            )
-        }
-        EvalMode::Streaming => {
-            let opts =
-                stream_options_for(MetricSet::LOSS_AVOIDANCE.with(MetricSet::FAST_UTILIZATION));
-            let prober =
-                run_scenario_streaming(scenario(Box::new(CautiousProber::default_probe())), &opts);
-            let reno = run_scenario_streaming(scenario(Box::new(Aimd::reno())), &opts);
-            (
-                prober.is_zero_loss(),
-                prober.measured_fast_utilization(0).unwrap_or(0.0),
-                !reno.is_zero_loss(),
-                reno.measured_fast_utilization(0).unwrap_or(0.0),
-            )
-        }
-    };
+    let opts = stream_options_for(MetricSet::LOSS_AVOIDANCE.with(MetricSet::FAST_UTILIZATION));
+    let prober = eval_metrics(
+        scenario(Box::new(CautiousProber::default_probe())),
+        &opts,
+        mode,
+    );
+    let reno = eval_metrics(scenario(Box::new(Aimd::reno())), &opts, mode);
+    let prober_zero_loss = prober.is_zero_loss();
+    let prober_fast = prober.measured_fast_utilization(0).unwrap_or(0.0);
+    let reno_lossy = !reno.is_zero_loss();
+    let reno_fast = reno.measured_fast_utilization(0).unwrap_or(0.0);
 
     let passed = prober_zero_loss && prober_fast < 0.05 && reno_lossy && reno_fast > 0.5;
     TheoremCheck {
@@ -186,7 +158,7 @@ pub fn check_theorem1(steps: usize, mode: EvalMode) -> TheoremCheck {
     let mut detail = String::new();
     let mut passed = true;
     for &(a, b) in &[(1.0, 0.5), (1.0, 0.8), (2.0, 0.5), (0.5, 0.7)] {
-        let m = measure_solo_fluid_mode(
+        let m = measure_solo_fluid(
             &Aimd::new(a, b),
             &SweepConfig::standard(link, 2, steps),
             mode,
@@ -222,7 +194,7 @@ pub fn check_theorem2(steps: usize, mode: EvalMode) -> TheoremCheck {
     let mut detail = String::new();
     let mut passed = true;
     for &(a, b) in &[(1.0, 0.5), (2.0, 0.5), (4.0, 0.5), (1.0, 0.8)] {
-        let f = measure_friendliness_fluid_mode(
+        let f = measure_friendliness_fluid(
             &Aimd::new(a, b),
             &reno,
             link,
@@ -269,16 +241,14 @@ pub fn check_theorem3(steps: usize, mode: EvalMode) -> TheoremCheck {
 
     let robust = RobustAimd::new(a, b, eps);
     let plain = Aimd::new(a, b);
-    let r_rob = measure_robustness_fluid_mode(&robust, &ROBUSTNESS_RATES, steps, mode);
-    let r_plain = measure_robustness_fluid_mode(&plain, &ROBUSTNESS_RATES, steps, mode);
+    let r_rob = measure_robustness_fluid(&robust, &ROBUSTNESS_RATES, steps, mode);
+    let r_plain = measure_robustness_fluid(&plain, &ROBUSTNESS_RATES, steps, mode);
     // `<= 0.0` rather than `== 0.0`: NaN-sound, and a (theoretically
     // impossible) negative score must not count as "robust".
     let robustness_ordered = r_rob > 0.0 && r_plain <= 0.0;
 
-    let f_rob =
-        measure_friendliness_fluid_mode(&robust, &reno, link, 1, 1, steps, &[(1.0, 1.0)], mode);
-    let f_plain =
-        measure_friendliness_fluid_mode(&plain, &reno, link, 1, 1, steps, &[(1.0, 1.0)], mode);
+    let f_rob = measure_friendliness_fluid(&robust, &reno, link, 1, 1, steps, &[(1.0, 1.0)], mode);
+    let f_plain = measure_friendliness_fluid(&plain, &reno, link, 1, 1, steps, &[(1.0, 1.0)], mode);
     let friendliness_ordered = f_rob < f_plain;
 
     TheoremCheck {
@@ -306,15 +276,13 @@ pub fn check_theorem4(steps: usize, mode: EvalMode) -> TheoremCheck {
 
     // Hypothesis (3): both Qs are more aggressive than Reno — verified
     // empirically (the semantic relation, not just the syntactic rules).
-    let q1_aggr =
-        crate::estimators::empirically_more_aggressive_mode(&q_aimd, &reno, link, steps, mode);
-    let q2_aggr =
-        crate::estimators::empirically_more_aggressive_mode(&q_mimd, &reno, link, steps, mode);
+    let q1_aggr = crate::estimators::empirically_more_aggressive(&q_aimd, &reno, link, steps, mode);
+    let q2_aggr = crate::estimators::empirically_more_aggressive(&q_mimd, &reno, link, steps, mode);
 
     let pairs = [(1.0, 1.0)];
-    let f_reno = measure_friendliness_fluid_mode(&p, &reno, link, 1, 1, steps, &pairs, mode);
-    let f_q1 = measure_friendliness_fluid_mode(&p, &q_aimd, link, 1, 1, steps, &pairs, mode);
-    let f_q2 = measure_friendliness_fluid_mode(&p, &q_mimd, link, 1, 1, steps, &pairs, mode);
+    let f_reno = measure_friendliness_fluid(&p, &reno, link, 1, 1, steps, &pairs, mode);
+    let f_q1 = measure_friendliness_fluid(&p, &q_aimd, link, 1, 1, steps, &pairs, mode);
+    let f_q2 = measure_friendliness_fluid(&p, &q_mimd, link, 1, 1, steps, &pairs, mode);
 
     let tol = 0.1;
     let passed = q1_aggr && q2_aggr && f_q1 >= f_reno - tol && f_q2 >= f_reno - tol;
@@ -343,7 +311,7 @@ pub fn check_theorem5(steps: usize, mode: EvalMode) -> TheoremCheck {
     // queue, which is what crushes the latency-avoider.
     let measure = |c_mss: f64| {
         let link = LinkParams::new(c_mss * 10.0, 0.05, c_mss);
-        measure_friendliness_fluid_mode(&reno, &vegas, link, 1, 1, steps, &[(1.0, 1.0)], mode)
+        measure_friendliness_fluid(&reno, &vegas, link, 1, 1, steps, &[(1.0, 1.0)], mode)
     };
     let f_small = measure(100.0);
     let f_large = measure(400.0);

@@ -4,11 +4,14 @@
 //! and agreement between the sweep aggregation and its parts.
 
 use axcc_analysis::estimators::{
-    empirical_scores_fluid, measure_friendliness_fluid, measure_solo_fluid, SweepConfig,
+    empirical_scores_fluid, measure_friendliness_fluid, measure_solo_fluid, EvalMode, SweepConfig,
 };
 use axcc_core::LinkParams;
 use axcc_protocols::{Aimd, RobustAimd};
 use proptest::prelude::*;
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn arb_link() -> impl Strategy<Value = LinkParams> {
     (400.0f64..4000.0, 0.02f64..0.08, 5.0f64..150.0)
@@ -28,7 +31,7 @@ proptest! {
         link in arb_link(),
     ) {
         let p = Aimd::new(a, b);
-        let f = measure_friendliness_fluid(&p, &p, link, 1, 1, 2500, &[(1.0, 1.0)]);
+        let f = measure_friendliness_fluid(&p, &p, link, 1, 1, 2500, &[(1.0, 1.0)], STREAMING);
         prop_assert!(f > 0.75, "AIMD({a},{b}) self-friendliness {f}");
     }
 
@@ -39,7 +42,7 @@ proptest! {
         b in 0.3f64..0.8,
         link in arb_link(),
     ) {
-        let s = empirical_scores_fluid(&Aimd::new(a, b), link, 2, 800);
+        let s = empirical_scores_fluid(&Aimd::new(a, b), link, 2, 800, STREAMING);
         prop_assert!((0.0..=1.0).contains(&s.efficiency));
         prop_assert!((0.0..1.0).contains(&s.loss_bound));
         prop_assert!((0.0..=1.0).contains(&s.fairness));
@@ -58,7 +61,7 @@ proptest! {
         link in arb_link(),
     ) {
         let p = Aimd::new(a, b);
-        let full = measure_solo_fluid(&p, &SweepConfig::standard(link, 2, 800));
+        let full = measure_solo_fluid(&p, &SweepConfig::standard(link, 2, 800), STREAMING);
         // Re-run with just the uniform-small configuration.
         let single = measure_solo_fluid(
             &p,
@@ -68,6 +71,7 @@ proptest! {
                 steps: 800,
                 initial_configs: vec![vec![1.0, 1.0]],
             },
+            STREAMING,
         );
         prop_assert!(full.efficiency <= single.efficiency + 1e-12);
         prop_assert!(full.loss_bound >= single.loss_bound - 1e-12);
@@ -93,6 +97,7 @@ proptest! {
                 1,
                 2500,
                 &[(1.0, 1.0)],
+                STREAMING,
             )
         };
         let low = f(eps_low);

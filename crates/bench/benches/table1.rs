@@ -4,12 +4,15 @@
 //! per-protocol empirical scoring sweep that the `gen-table1 --simulate`
 //! binary runs, at a reduced step budget so the bench stays in seconds.
 
-use axcc_analysis::estimators::{measure_solo_fluid, SweepConfig};
+use axcc_analysis::estimators::{measure_solo_fluid, EvalMode, SweepConfig};
 use axcc_analysis::experiments::table1::{table1_specs, theoretical_table1};
 use axcc_core::LinkParams;
 use axcc_protocols::build_protocol;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn bench_theory(c: &mut Criterion) {
     c.bench_function("table1/theory_full_table", |b| {
@@ -29,6 +32,7 @@ fn bench_empirical_rows(c: &mut Criterion) {
                     black_box(measure_solo_fluid(
                         proto.as_ref(),
                         &SweepConfig::standard(link, 2, 500),
+                        STREAMING,
                     ))
                 },
                 BatchSize::SmallInput,

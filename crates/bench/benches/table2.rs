@@ -1,12 +1,17 @@
 //! Criterion bench for the Table 2 regeneration path: one friendliness
 //! cell (1 protocol sender + 1 Reno) in each backend, at reduced budgets.
 
-use axcc_analysis::estimators::{measure_friendliness_fluid, measure_friendliness_packet};
+use axcc_analysis::estimators::{
+    measure_friendliness_fluid, measure_friendliness_packet, EvalMode,
+};
 use axcc_core::units::Bandwidth;
 use axcc_core::LinkParams;
 use axcc_protocols::{Aimd, Pcc, RobustAimd};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn cell_link() -> LinkParams {
     LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 100.0)
@@ -28,6 +33,7 @@ fn bench_fluid_cell(c: &mut Criterion) {
                 1,
                 1000,
                 &[(1.0, 1.0)],
+                STREAMING,
             ))
         })
     });
@@ -42,6 +48,7 @@ fn bench_fluid_cell(c: &mut Criterion) {
                 1,
                 1000,
                 &[(1.0, 1.0)],
+                STREAMING,
             ))
         })
     });

@@ -15,8 +15,8 @@
 //! Flags: `--json`, and the shared `--jobs N` / `--no-cache`.
 
 use axcc_analysis::estimators::{
-    measure_friendliness_fluid, measure_robustness_fluid, measure_solo_fluid, SweepConfig,
-    ROBUSTNESS_RATES,
+    measure_friendliness_fluid, measure_robustness_fluid, measure_solo_fluid, EvalMode,
+    SweepConfig, ROBUSTNESS_RATES,
 };
 use axcc_analysis::report::{fmt_score, TextTable};
 use axcc_bench::runner::Bin;
@@ -27,9 +27,17 @@ use axcc_core::Protocol;
 use axcc_protocols::{Aimd, Cubic, Mimd, Pcc, RobustAimd};
 
 const STEPS: usize = 3000;
+/// The ablations read scores only, so every run streams.
+const MODE: EvalMode = EvalMode::Streaming;
 
 fn link() -> LinkParams {
     LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 100.0)
+}
+
+/// Metric VII of `p` towards Reno from a 1-MSS start, one sender each.
+fn friendliness_to_reno(p: &dyn Protocol) -> f64 {
+    let pairs = [(1.0, 1.0)];
+    measure_friendliness_fluid(p, &Aimd::reno(), link(), 1, 1, STEPS, &pairs, MODE)
 }
 
 fn main() {
@@ -41,9 +49,8 @@ fn main() {
         .runner()
         .sweep("ablations/robust-eps", &eps_grid, |&eps| {
             let p = RobustAimd::new(1.0, 0.8, eps);
-            let rob = measure_robustness_fluid(&p, &ROBUSTNESS_RATES, STEPS);
-            let fr =
-                measure_friendliness_fluid(&p, &Aimd::reno(), link(), 1, 1, STEPS, &[(1.0, 1.0)]);
+            let rob = measure_robustness_fluid(&p, &ROBUSTNESS_RATES, STEPS, MODE);
+            let fr = friendliness_to_reno(&p);
             (rob, fr)
         });
     let mut t = TextTable::new(["eps", "measured robustness", "friendliness to Reno"]);
@@ -73,9 +80,8 @@ fn main() {
         .runner()
         .sweep("ablations/pcc-controller", &pcc_grid, |&(step, amp)| {
             let p = Pcc::with_params(step, amp, (step * 8.0).min(0.5), 100.0);
-            let fr =
-                measure_friendliness_fluid(&p, &Aimd::reno(), link(), 1, 1, STEPS, &[(1.0, 1.0)]);
-            let solo = measure_solo_fluid(&p, &SweepConfig::standard(link(), 2, STEPS));
+            let fr = friendliness_to_reno(&p);
+            let solo = measure_solo_fluid(&p, &SweepConfig::standard(link(), 2, STEPS), MODE);
             (fr, solo.convergence)
         });
     let mut t = TextTable::new([
@@ -120,7 +126,7 @@ fn main() {
         .runner()
         .sweep("ablations/theorem2-tightness", &aimd_grid, |&(a, b)| {
             let p = Aimd::new(a, b);
-            measure_friendliness_fluid(&p, &Aimd::reno(), link(), 1, 1, STEPS, &[(1.0, 1.0)])
+            friendliness_to_reno(&p)
         });
     let mut t = TextTable::new(["protocol", "bound", "measured", "relative error"]);
     let mut sweep = Vec::new();

@@ -2,12 +2,13 @@
 //!
 //! For every streaming-capable experiment in the registry this runs the
 //! full experiment through a serial, cache-disabled runner — once in
-//! [`EvalMode::Traced`] (record the full trace, evaluate the axioms on it)
-//! and once in [`EvalMode::Streaming`] (fold each step straight into the
-//! metric accumulators) — asserts the rendered reports are **identical**
-//! (they embed every measured score, so equal strings means bit-equal
-//! metrics), and records wall-clock for both plus the trace bytes the
-//! streaming path never allocated ([`axcc_fluidsim::stats`]).
+//! [`EvalMode::Traced`] (record the full trace, then replay it through the
+//! metric accumulators) and once in [`EvalMode::Streaming`] (fold each
+//! step straight into the metric accumulators) — asserts the rendered
+//! reports are **identical** (they embed every measured score, so equal
+//! strings means bit-equal metrics), and records wall-clock for both plus
+//! the trace bytes the streaming path never allocated
+//! ([`axcc_fluidsim::stats`]).
 //!
 //! Serial + no cache isolates the engine-path difference: no worker
 //! scheduling noise, no cache hits standing in for runs. Each mode is

@@ -11,7 +11,7 @@ use axcc_analysis::experiments::{
 use axcc_analysis::report::{fmt_ratio, fmt_score, TextTable};
 use axcc_core::units::Bandwidth;
 use axcc_core::{LinkParams, Protocol};
-use axcc_fluidsim::{LossModel, MathMode, Scenario, SenderConfig};
+use axcc_fluidsim::{LossModel, Scenario, SenderConfig};
 use axcc_packetsim::{PacketScenario, PacketSenderConfig};
 use axcc_protocols::registry::resolve;
 use axcc_serve::bench::{run_bench, run_bench_spawned, BenchConfig, BenchReport};
@@ -33,8 +33,6 @@ scenario commands (default link: 20 Mbps, 42 ms RTT, 100-MSS buffer):
                 [--steps N]            fluid-model steps (default 2000)
                 [--packet --duration S] packet-level backend instead
                 [--wire-loss R --seed N --stagger-s S --ecn K]
-                [--fast-math]          relaxed fp orderings in the fluid
-                                       hot loop (reassociated sums/FMA)
   axcc score    --protocol P          measure the full empirical 8-tuple
                 [--steps N]
   axcc compare  --challenger P --defender Q   Metric VII head-to-head
@@ -243,7 +241,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         .map(|v| v.parse::<usize>())
         .transpose()
         .map_err(|_| CliError::Usage("--ecn takes a marking threshold in packets".into()))?;
-    let fast_math = args.get_bool("fast-math");
     let csv_path = args.get("csv").map(str::to_string);
     let json = args.get_bool("json");
     args.finish()?;
@@ -258,11 +255,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     );
 
     let trace = if packet {
-        if fast_math {
-            return Err(CliError::Usage(
-                "--fast-math applies to the fluid backend only (drop --packet)".into(),
-            ));
-        }
         let mut sc = PacketScenario::new(link).duration_secs(duration).seed(seed);
         if wire > 0.0 {
             sc = sc.wire_loss(wire);
@@ -296,9 +288,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
             ));
         }
         let mut sc = Scenario::new(link).steps(steps).seed(seed);
-        if fast_math {
-            sc = sc.math(MathMode::Fast);
-        }
         if wire > 0.0 {
             sc = sc.wire_loss(LossModel::Bernoulli { rate: wire });
         }
@@ -309,11 +298,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                     .start_at((i as f64 * stagger / link.min_rtt()) as u64),
             );
         }
-        let _ = writeln!(
-            out,
-            "backend: fluid model, {steps} RTT steps{}",
-            if fast_math { " (fast math)" } else { "" }
-        );
+        let _ = writeln!(out, "backend: fluid model, {steps} RTT steps");
         sc.try_run().map_err(|e| CliError::Usage(e.to_string()))?
     };
 
@@ -360,7 +345,7 @@ fn cmd_score(args: &Args) -> Result<String, CliError> {
     let json = args.get_bool("json");
     args.finish()?;
     let proto = resolve_protocol(&name)?;
-    let scores = empirical_scores_fluid(proto.as_ref(), link, n, steps);
+    let scores = empirical_scores_fluid(proto.as_ref(), link, n, steps, EvalMode::Streaming);
     let mut out = format!(
         "{} on the configured link ({n} senders, {steps} steps):\n\n",
         proto.name()
@@ -395,7 +380,16 @@ fn cmd_compare(args: &Args) -> Result<String, CliError> {
     args.finish()?;
     let p = resolve_protocol(&challenger)?;
     let q = resolve_protocol(&defender)?;
-    let f = measure_friendliness_fluid(p.as_ref(), q.as_ref(), link, n_p, 1, steps, &[(1.0, 1.0)]);
+    let f = measure_friendliness_fluid(
+        p.as_ref(),
+        q.as_ref(),
+        link,
+        n_p,
+        1,
+        steps,
+        &[(1.0, 1.0)],
+        EvalMode::Streaming,
+    );
     Ok(format!(
         "{} vs {} ({}+1 senders): friendliness = {}\n(1.0 = the defender keeps pace; 0 = starved)\n",
         p.name(),
@@ -439,7 +433,7 @@ fn cmd_characterize(args: &Args) -> Result<String, CliError> {
     let mut rows = Vec::new();
     for name in CHARACTERIZE_LINEUP {
         let proto = resolve_protocol(name)?;
-        let s = empirical_scores_fluid(proto.as_ref(), link, n, steps);
+        let s = empirical_scores_fluid(proto.as_ref(), link, n, steps, EvalMode::Streaming);
         t.row([
             proto.name(),
             fmt_score(s.efficiency),
@@ -763,9 +757,11 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
         let outcome = (exp.run)(&runner, budget);
         let stats = runner.take_stats();
         let _ = write!(out, "{} — {}\n\n{}", exp.name, exp.artifact, outcome.report);
-        let _ = writeln!(
-            out,
-            "\n{} jobs over {} workers in {:.2} s ({} from cache, {:.1}% hit rate)",
+        // Wall clock varies run to run: keep it off stdout so the report
+        // stays byte-deterministic.
+        eprintln!(
+            "{}: {} jobs over {} workers in {:.2} s ({} from cache, {:.1}% hit rate)",
+            exp.name,
             stats.jobs(),
             runner.workers(),
             sw.elapsed_secs(),
@@ -818,8 +814,7 @@ fn cmd_run_all(args: &Args) -> Result<String, CliError> {
             .map_err(|e| CliError::Failed(format!("cannot create {dir}: {e}")))?;
     }
     let mut out = format!(
-        "running the full experiment suite ({} workers, {} scale, cache {})\n\n",
-        runner.workers(),
+        "running the full experiment suite ({} scale, cache {})\n\n",
         if budget.smoke { "smoke" } else { "paper" },
         if runner.caching() { "on" } else { "off" },
     );
@@ -846,8 +841,13 @@ fn cmd_run_all(args: &Args) -> Result<String, CliError> {
                 .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
         }
     }
-    out.push('\n');
-    out.push_str(&render_timings(&timings));
+    // Wall clock varies run to run and the worker count is a knob: keep
+    // both off stdout so the summary is byte-identical at any `--jobs`.
+    eprint!(
+        "\n{} workers\n{}",
+        runner.workers(),
+        render_timings(&timings)
+    );
     if let Some(dir) = &out_dir {
         let _ = writeln!(out, "\nreports written to {dir}/");
     }

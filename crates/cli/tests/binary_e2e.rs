@@ -116,25 +116,32 @@ fn sweep_honours_chunk_size_and_reports_cache_stats() {
     // store report shows the sharded on-disk layout.
     let mut cold_args: Vec<&str> = base.to_vec();
     cold_args.extend(["--chunk-size", "2"]);
-    let (code, cold, stderr) = axcc(&cold_args);
-    assert_eq!(code, 0, "stdout: {cold}\nstderr: {stderr}");
-    assert!(cold.contains("result store:"), "{cold}");
+    let (code, cold, cold_err) = axcc(&cold_args);
+    assert_eq!(code, 0, "stdout: {cold}\nstderr: {cold_err}");
+    assert!(cold.contains("result store: 0 hits"), "{cold}");
     assert!(cold.contains("in-memory index:"), "{cold}");
     assert!(cold.contains("shard"), "{cold}");
-    assert!(cold.contains("0.0% hit rate"), "{cold}");
+    // The wall-clock footer goes to stderr.
+    assert!(cold_err.contains("0.0% hit rate"), "{cold_err}");
+    assert!(!cold.contains("hit rate"), "{cold}");
 
-    // Warm run at the auto chunk size: answered from disk, and the report
-    // body (everything before the timing line) is byte-identical.
-    let (code, warm, _) = axcc(&base);
+    // Warm run at the auto chunk size: answered from disk. Stdout is the
+    // cold run's byte for byte, except the store's hit/miss counters.
+    let (code, warm, warm_err) = axcc(&base);
     assert_eq!(code, 0, "{warm}");
-    assert!(warm.contains("100.0% hit rate"), "{warm}");
-    let body = |s: &str| {
+    assert!(warm_err.contains("100.0% hit rate"), "{warm_err}");
+    assert!(warm.contains(" 0 misses this process"), "{warm}");
+    let counters = |s: &str| {
         s.lines()
-            .filter(|l| !l.contains("jobs over") && !l.contains("result store:"))
+            .filter(|l| !l.starts_with("result store:"))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(body(&cold), body(&warm), "chunking must not change results");
+    assert_eq!(
+        counters(&cold),
+        counters(&warm),
+        "chunking must not change results"
+    );
 
     // The 10^5-layout invariant end to end: entries live in O(shards)
     // segment files, never one file per digest.

@@ -16,13 +16,12 @@
 //!   capped utilization over the steps where at least one sender is
 //!   active (Metric I without charging idle spans to the protocol).
 //!
-//! Each form ships as a slice evaluator *and* an online accumulator
-//! ([`ChurnAccumulator`] combines all three), bound by the same
-//! bit-identity contract as [`streaming`](crate::axioms::streaming): the
-//! same additions in the same order, asserted to the exact f64 bit by the
-//! tests here and by `axcc-fluidsim` / `axcc-analysis` on real runs.
+//! Each form is defined once, as an online accumulator
+//! ([`ChurnAccumulator`] combines all three); the slice evaluators replay
+//! their columns through it, exactly as the
+//! [`streaming`](crate::axioms::streaming) scorers do.
 
-use crate::axioms::streaming::{StepBlock, StepRecord};
+use crate::axioms::streaming::{Accumulator, StepColumns};
 
 /// Segment boundaries for a `steps`-long run: the churn-event steps
 /// clipped to the run, plus the run's own endpoints, sorted and deduped.
@@ -54,21 +53,9 @@ fn jain_over_positive(sums: &[f64]) -> Option<f64> {
 /// `total[t] >= threshold`; arrivals that never settle contribute the
 /// remainder of the run. Returns 0.0 with no arrivals.
 pub fn mean_settle_after_arrival(total: &[f64], arrivals: &[u64], threshold: f64) -> f64 {
-    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
-    if arrivals.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for &a in arrivals {
-        let start = (a as usize).min(total.len());
-        let settle = total[start..]
-            .iter()
-            .position(|&x| x >= threshold)
-            .map(|off| (start + off) as u64 - a)
-            .unwrap_or_else(|| (total.len() as u64).saturating_sub(a));
-        sum += settle as f64;
-    }
-    sum / arrivals.len() as f64
+    let mut acc = SettleAcc::new(arrivals.to_vec(), threshold);
+    acc.push_block(total);
+    acc.measured()
 }
 
 /// Fairness over coexistence windows: Jain's index of per-sender goodput
@@ -76,46 +63,24 @@ pub fn mean_settle_after_arrival(total: &[f64], arrivals: &[u64], threshold: f64
 /// senders with positive volume there, weighted by segment length.
 /// Segments with fewer than two active senders are skipped; returns 1.0
 /// when no segment qualifies (fairness is vacuous for a lone sender).
+///
+/// A column shorter than `steps` contributes nothing past its end (a
+/// `+0.0` term, which leaves every positive sum unchanged).
 pub fn coexistence_fairness(goodputs: &[&[f64]], boundaries: &[usize], steps: usize) -> f64 {
-    let bounds = segment_bounds(boundaries, steps);
-    let mut weighted = 0.0;
-    let mut weight = 0.0;
-    for w in bounds.windows(2) {
-        let (s, e) = (w[0], w[1]);
-        let sums: Vec<f64> = goodputs
-            .iter()
-            .map(|g| g[s.min(g.len())..e.min(g.len())].iter().sum())
-            .collect();
-        if let Some(j) = jain_over_positive(&sums) {
-            weighted += j * (e - s) as f64;
-            weight += (e - s) as f64;
-        }
+    let mut acc = CoexistenceFairnessAcc::new(goodputs.len(), boundaries, steps);
+    for k in 0..steps {
+        acc.push_row(|i| goodputs[i].get(k).copied().unwrap_or(0.0));
     }
-    if weight > 0.0 {
-        weighted / weight
-    } else {
-        1.0
-    }
+    acc.measured()
 }
 
 /// Mean capped utilization (`min(X/C, 1)`) over the steps where at least
 /// one activity interval `[start, stop)` covers the step; 0.0 if no step
 /// is covered.
 pub fn utilization_under_churn(total: &[f64], capacity: f64, activity: &[(u64, u64)]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (t, &x) in total.iter().enumerate() {
-        let t = t as u64;
-        if activity.iter().any(|&(s, e)| s <= t && t < e) {
-            sum += (x / capacity).min(1.0);
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
+    let mut acc = ChurnUtilAcc::new(capacity, activity.to_vec());
+    acc.push_block(total);
+    acc.measured()
 }
 
 /// Static shape of a churned run — everything the accumulators need to
@@ -139,10 +104,10 @@ pub struct ChurnConfig {
     pub activity: Vec<(u64, u64)>,
 }
 
-/// Convergence-after-arrival online: the settle scan of
-/// [`mean_settle_after_arrival`] as a single forward pass. Arrivals
-/// settle in arrival order (a later arrival cannot settle earlier), so
-/// the accumulated sum folds in the same order as the slice evaluator.
+/// Convergence-after-arrival online: one forward pass that settles each
+/// arrival at the first step at or after it whose total window reaches
+/// the threshold. Arrivals settle in arrival order (a later arrival
+/// cannot settle earlier), so the sum folds in arrival order.
 #[derive(Debug, Clone)]
 pub struct SettleAcc {
     threshold: f64,
@@ -165,28 +130,22 @@ impl SettleAcc {
         }
     }
 
-    /// Consume one step's total window.
-    pub fn push(&mut self, total: f64) {
-        if total >= self.threshold {
-            while self.next < self.arrivals.len() && self.arrivals[self.next] <= self.t as u64 {
-                self.sum += (self.t as u64 - self.arrivals[self.next]) as f64;
-                self.next += 1;
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of total windows — bit-identical to per-step
-    /// pushes. The arrival cursor is inherently sequential state, so the
-    /// rows replay in order; batching only amortizes the call overhead.
+    /// Consume the next total windows, in step order. Each step at or
+    /// above the threshold settles every pending arrival at or before it.
     pub fn push_block(&mut self, totals: &[f64]) {
         for &total in totals {
-            self.push(total);
+            if total >= self.threshold {
+                while self.next < self.arrivals.len() && self.arrivals[self.next] <= self.t as u64 {
+                    self.sum += (self.t as u64 - self.arrivals[self.next]) as f64;
+                    self.next += 1;
+                }
+            }
+            self.t += 1;
         }
     }
 
-    /// `mean_settle_after_arrival` of the stream so far (unsettled
-    /// arrivals contribute the steps seen past their arrival).
+    /// Mean settle time of the stream so far (unsettled arrivals
+    /// contribute the steps seen past their arrival).
     pub fn measured(&self) -> f64 {
         if self.arrivals.is_empty() {
             return 0.0;
@@ -245,31 +204,25 @@ impl CoexistenceFairnessAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
+    /// Consume one step given each sender's goodput.
+    pub(crate) fn push_row(&mut self, goodput: impl Fn(usize) -> f64) {
         self.close_segments_before(self.t);
-        for (i, r) in records.iter().enumerate() {
-            self.sums[i] += r.goodput;
+        for (i, sum) in self.sums.iter_mut().enumerate() {
+            *sum += goodput(i);
         }
         self.t += 1;
     }
 
-    /// Consume a batch of steps from a [`StepBlock`] — bit-identical to
-    /// per-step pushes. Segment closing depends on the running step
-    /// index, so rows replay row-major; the per-sender sums still read
-    /// from the block's contiguous goodput columns.
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        debug_assert_eq!(block.num_senders(), self.sums.len());
-        for k in 0..block.len() {
-            self.close_segments_before(self.t);
-            for i in 0..self.sums.len() {
-                self.sums[i] += block.goodputs(i)[k];
-            }
-            self.t += 1;
+    /// Consume the next steps. Segment closing depends on the running
+    /// step index, so rows replay row-major.
+    pub fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        debug_assert_eq!(cols.num_senders(), self.sums.len());
+        for k in 0..cols.len() {
+            self.push_row(|i| cols.goodputs(i)[k]);
         }
     }
 
-    /// `coexistence_fairness` of the stream so far.
+    /// Length-weighted coexistence fairness of the stream so far.
     pub fn measured(&self) -> f64 {
         // Flush pending segments without mutating (mid-stream reads must
         // not disturb state); the per-segment state is tiny, clone it.
@@ -315,25 +268,19 @@ impl ChurnUtilAcc {
         }
     }
 
-    /// Consume one step's total window.
-    pub fn push(&mut self, total: f64) {
-        let t = self.t as u64;
-        if self.activity.iter().any(|&(s, e)| s <= t && t < e) {
-            self.sum += (total / self.capacity).min(1.0);
-            self.n += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of total windows — bit-identical to per-step
-    /// pushes (the activity-interval test replays per row).
+    /// Consume the next total windows, in step order.
     pub fn push_block(&mut self, totals: &[f64]) {
         for &total in totals {
-            self.push(total);
+            let t = self.t as u64;
+            if self.activity.iter().any(|&(s, e)| s <= t && t < e) {
+                self.sum += (total / self.capacity).min(1.0);
+                self.n += 1;
+            }
+            self.t += 1;
         }
     }
 
-    /// `utilization_under_churn` of the stream so far.
+    /// Mean covered-step utilization of the stream so far.
     pub fn measured(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -351,8 +298,8 @@ impl ChurnUtilAcc {
 }
 
 /// The combined churn-aware single-pass evaluator: one instance per run,
-/// consuming the shared total window and per-sender records, exposing all
-/// three churn scores bit-identically to the slice evaluators.
+/// consuming the shared total window and per-sender goodput columns and
+/// exposing all three churn scores.
 #[derive(Debug, Clone)]
 pub struct ChurnAccumulator {
     n: usize,
@@ -372,49 +319,38 @@ impl ChurnAccumulator {
         }
     }
 
-    /// Consume one step: the shared total window plus one record per
-    /// sender in sender order.
-    pub fn push_step(&mut self, total: f64, records: &[StepRecord]) {
-        debug_assert_eq!(records.len(), self.n);
-        self.settle.push(total);
-        self.fairness.push_step(records);
-        self.util.push(total);
-    }
-
-    /// Consume a whole block of steps — bit-identical to feeding the same
-    /// rows through [`ChurnAccumulator::push_step`] one at a time. The
-    /// sub-accumulators are independent, so each consumes the whole block
-    /// in step order.
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        debug_assert_eq!(block.num_senders(), self.n);
-        self.settle.push_block(block.totals());
-        self.fairness.push_steps(block);
-        self.util.push_block(block.totals());
-    }
-
     /// Number of senders.
     pub fn num_senders(&self) -> usize {
         self.n
     }
 
-    /// `mean_settle_after_arrival` of the stream so far.
+    /// Mean settle time after arrivals of the stream so far.
     pub fn mean_settle_after_arrival(&self) -> f64 {
         self.settle.measured()
     }
 
-    /// `coexistence_fairness` of the stream so far.
+    /// Coexistence fairness of the stream so far.
     pub fn coexistence_fairness(&self) -> f64 {
         self.fairness.measured()
     }
 
-    /// `utilization_under_churn` of the stream so far.
+    /// Utilization under churn of the stream so far.
     pub fn utilization_under_churn(&self) -> f64 {
         self.util.measured()
     }
+}
 
-    /// Clear all run state so the accumulator can consume another run of
-    /// the same shape.
-    pub fn reset(&mut self) {
+impl Accumulator for ChurnAccumulator {
+    /// The sub-accumulators are independent, so each consumes the whole
+    /// view in step order.
+    fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        debug_assert_eq!(cols.num_senders(), self.n);
+        self.settle.push_block(cols.totals());
+        self.fairness.push_steps(cols);
+        self.util.push_block(cols.totals());
+    }
+
+    fn reset(&mut self) {
         self.settle.reset();
         self.fairness.reset();
         self.util.reset();
@@ -424,45 +360,24 @@ impl ChurnAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axioms::streaming::StepBlock;
     use crate::axioms::testutil::{small_link, trace_from_windows};
     use crate::trace::RunTrace;
 
-    /// Replay a finished trace into a [`ChurnAccumulator`] — the reference
-    /// replay every equivalence test uses.
-    fn accumulate(trace: &RunTrace, cfg: &ChurnConfig) -> ChurnAccumulator {
+    /// Replay a whole trace into a [`ChurnAccumulator`].
+    fn replay(trace: &RunTrace, cfg: &ChurnConfig) -> ChurnAccumulator {
         let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
-        let mut records = Vec::with_capacity(trace.num_senders());
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            acc.push_step(trace.total_window[t], &records);
-        }
+        acc.push_steps(&trace.columns());
         acc
     }
 
-    fn assert_matches_trace(trace: &RunTrace, cfg: &ChurnConfig) {
-        let acc = accumulate(trace, cfg);
-        assert_eq!(
-            acc.mean_settle_after_arrival().to_bits(),
-            mean_settle_after_arrival(&trace.total_window, &cfg.arrivals, cfg.settle_threshold)
-                .to_bits()
-        );
-        let goodputs: Vec<&[f64]> = trace.senders.iter().map(|s| s.goodput.as_slice()).collect();
-        assert_eq!(
-            acc.coexistence_fairness().to_bits(),
-            coexistence_fairness(&goodputs, &cfg.boundaries, trace.len()).to_bits()
-        );
-        assert_eq!(
-            acc.utilization_under_churn().to_bits(),
-            utilization_under_churn(&trace.total_window, cfg.capacity, &cfg.activity).to_bits()
-        );
+    fn scores(acc: &ChurnAccumulator) -> [u64; 3] {
+        [
+            acc.mean_settle_after_arrival(),
+            acc.coexistence_fairness(),
+            acc.utilization_under_churn(),
+        ]
+        .map(f64::to_bits)
     }
 
     /// A churned two-sender shape: sender 1 active only in [20, 60).
@@ -484,92 +399,30 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_matches_slice_evaluators_bitwise() {
+    fn block_boundaries_never_change_a_score() {
+        // Odd capacities land churn boundaries mid-block; cap 1 is the
+        // per-step path; an oversized cap exercises the single partial
+        // flush.
         let (trace, cfg) = churned_trace();
-        assert_matches_trace(&trace, &cfg);
-    }
-
-    /// Replay the same trace through `StepBlock`s of capacity `cap` via
-    /// the batched `push_steps` ingest.
-    fn accumulate_blocks(trace: &RunTrace, cfg: &ChurnConfig, cap: usize) -> ChurnAccumulator {
-        let mut acc = ChurnAccumulator::new(cfg, trace.num_senders());
-        let mut block = StepBlock::new(trace.num_senders(), cap);
-        for t in 0..trace.len() {
-            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
-            for (i, s) in trace.senders.iter().enumerate() {
-                block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
-            }
-            if block.advance() {
-                acc.push_steps(&block);
-                block.begin(t + 1);
-            }
-        }
-        if !block.is_empty() {
-            acc.push_steps(&block);
-        }
-        acc
-    }
-
-    #[test]
-    fn block_ingest_matches_per_step_ingest() {
-        // Odd capacities land churn boundaries mid-block; cap 1
-        // degenerates to the per-step path; an oversized cap exercises
-        // the single partial flush.
-        let (trace, cfg) = churned_trace();
-        let by_step = accumulate(&trace, &cfg);
+        let whole = scores(&replay(&trace, &cfg));
         for cap in [1, 7, 32, 1024] {
-            let by_block = accumulate_blocks(&trace, &cfg, cap);
-            assert_eq!(
-                by_block.mean_settle_after_arrival().to_bits(),
-                by_step.mean_settle_after_arrival().to_bits(),
-                "settle diverged at cap {cap}"
-            );
-            assert_eq!(
-                by_block.coexistence_fairness().to_bits(),
-                by_step.coexistence_fairness().to_bits(),
-                "fairness diverged at cap {cap}"
-            );
-            assert_eq!(
-                by_block.utilization_under_churn().to_bits(),
-                by_step.utilization_under_churn().to_bits(),
-                "utilization diverged at cap {cap}"
-            );
+            let mut acc = ChurnAccumulator::new(&cfg, trace.num_senders());
+            let mut block = StepBlock::new(trace.num_senders(), cap);
+            for t in 0..trace.len() {
+                block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
+                for (i, s) in trace.senders.iter().enumerate() {
+                    block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
+                }
+                if block.advance() {
+                    acc.push_steps(&block.columns());
+                    block.begin(t + 1);
+                }
+            }
+            if !block.is_empty() {
+                acc.push_steps(&block.columns());
+            }
+            assert_eq!(scores(&acc), whole, "cap {cap}");
         }
-    }
-
-    #[test]
-    fn accumulator_matches_with_unsettled_arrivals_and_gaps() {
-        // Threshold never reached after the second arrival; an idle gap
-        // (no sender active) in the middle exercises the activity filter.
-        let a: Vec<f64> = (0..80)
-            .map(|t| if (30..40).contains(&t) { 0.0 } else { 50.0 })
-            .collect();
-        let trace = trace_from_windows(small_link(), &[a]);
-        let cfg = ChurnConfig {
-            capacity: small_link().capacity(),
-            steps: 80,
-            settle_threshold: 120.0,
-            arrivals: vec![0, 35],
-            boundaries: vec![30, 40],
-            activity: vec![(0, 30), (40, 80)],
-        };
-        assert_matches_trace(&trace, &cfg);
-    }
-
-    #[test]
-    fn accumulator_matches_with_no_churn_at_all() {
-        let (trace, _) = churned_trace();
-        let cfg = ChurnConfig {
-            capacity: small_link().capacity(),
-            steps: trace.len(),
-            settle_threshold: 60.0,
-            arrivals: Vec::new(),
-            boundaries: Vec::new(),
-            activity: vec![(0, trace.len() as u64), (0, trace.len() as u64)],
-        };
-        assert_matches_trace(&trace, &cfg);
-        let acc = accumulate(&trace, &cfg);
-        assert_eq!(acc.mean_settle_after_arrival(), 0.0);
     }
 
     #[test]
@@ -583,6 +436,7 @@ mod tests {
         assert_eq!(mean_settle_after_arrival(&total, &[2], 60.0), 0.0);
         // Never settles: contributes the rest of the run.
         assert_eq!(mean_settle_after_arrival(&total, &[10], 1000.0), 10.0);
+        assert_eq!(mean_settle_after_arrival(&total, &[], 60.0), 0.0);
     }
 
     #[test]
@@ -618,59 +472,31 @@ mod tests {
     #[test]
     fn reset_reproduces_a_fresh_accumulator() {
         let (trace, cfg) = churned_trace();
-        let fresh = accumulate(&trace, &cfg);
-        let mut reused = accumulate(&trace, &cfg);
+        let fresh = replay(&trace, &cfg);
+        let mut reused = replay(&trace, &cfg);
         reused.reset();
-        let mut records = Vec::new();
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            reused.push_step(trace.total_window[t], &records);
-        }
-        assert_eq!(
-            reused.mean_settle_after_arrival().to_bits(),
-            fresh.mean_settle_after_arrival().to_bits()
-        );
-        assert_eq!(
-            reused.coexistence_fairness().to_bits(),
-            fresh.coexistence_fairness().to_bits()
-        );
-        assert_eq!(
-            reused.utilization_under_churn().to_bits(),
-            fresh.utilization_under_churn().to_bits()
-        );
+        reused.push_steps(&trace.columns());
+        assert_eq!(scores(&reused), scores(&fresh));
     }
 
     #[test]
     fn mid_stream_reads_do_not_disturb_the_final_score() {
         let (trace, cfg) = churned_trace();
         let mut acc = ChurnAccumulator::new(&cfg, trace.num_senders());
-        let mut records = Vec::new();
+        let mut block = StepBlock::new(trace.num_senders(), 3);
         for t in 0..trace.len() {
-            records.clear();
+            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
             for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
+                block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
             }
-            acc.push_step(trace.total_window[t], &records);
-            let _ = acc.coexistence_fairness();
-            let _ = acc.mean_settle_after_arrival();
+            if block.advance() {
+                acc.push_steps(&block.columns());
+                block.begin(t + 1);
+                let _ = acc.coexistence_fairness();
+                let _ = acc.mean_settle_after_arrival();
+            }
         }
-        let clean = accumulate(&trace, &cfg);
-        assert_eq!(
-            acc.coexistence_fairness().to_bits(),
-            clean.coexistence_fairness().to_bits()
-        );
+        acc.push_steps(&block.columns());
+        assert_eq!(scores(&acc), scores(&replay(&trace, &cfg)));
     }
 }

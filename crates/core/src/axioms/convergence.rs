@@ -16,6 +16,7 @@
 //! at `α·x* = lo` and `(2−α)·x* = hi` simultaneously, giving
 //! `x* = (lo + hi)/2` and `α = 2·lo/(lo + hi)`.
 
+use crate::axioms::streaming::ConvergenceAcc;
 use crate::trace::RunTrace;
 
 /// The largest `α` the tail supports, optimizing the fixed point per sender:
@@ -25,23 +26,9 @@ use crate::trace::RunTrace;
 /// Returns 1.0 for an empty tail or when all windows are identically 0 (the
 /// all-zeros fixed point satisfies the definition exactly).
 pub fn measured_convergence(trace: &RunTrace, tail_start: usize) -> f64 {
-    let from = tail_start.min(trace.len());
-    if from >= trace.len() {
-        return 1.0;
-    }
-    let mut worst = 1.0_f64;
-    for s in &trace.senders {
-        let tail = &s.window[from..];
-        let lo = tail.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = tail.iter().copied().fold(0.0_f64, f64::max);
-        let alpha = if hi <= 0.0 {
-            1.0 // constant at zero: exactly convergent
-        } else {
-            2.0 * lo / (lo + hi)
-        };
-        worst = worst.min(alpha);
-    }
-    worst.clamp(0.0, 1.0)
+    let mut acc = ConvergenceAcc::new(trace.num_senders(), trace.len(), tail_start);
+    acc.push_steps(&trace.columns());
+    acc.measured()
 }
 
 /// Whether the trace witnesses `α`-convergence over its tail.

@@ -11,7 +11,15 @@
 //! scenario sweeps in `axcc-analysis`, which take the minimum of this score
 //! over many initial window configurations.
 
+use crate::axioms::streaming::EfficiencyAcc;
 use crate::trace::RunTrace;
+
+/// Replay the trace's total-window column through [`EfficiencyAcc`].
+fn replay(trace: &RunTrace, tail_start: usize) -> EfficiencyAcc {
+    let mut acc = EfficiencyAcc::new(&trace.link, tail_start);
+    acc.push_block(&trace.total_window);
+    acc
+}
 
 /// The largest `α` such that `X^(t) ≥ αC` holds for every step of the tail:
 /// `min_{t ≥ T} X^(t) / C`, capped at 1.
@@ -23,13 +31,7 @@ use crate::trace::RunTrace;
 ///
 /// Returns 0 for an empty tail.
 pub fn measured_efficiency(trace: &RunTrace, tail_start: usize) -> f64 {
-    let c = trace.link.capacity();
-    let worst = trace.total_window[tail_start.min(trace.len())..]
-        .iter()
-        .map(|x| x / c)
-        .fold(f64::INFINITY, f64::min)
-        .pipe_finite_or(0.0);
-    worst.min(1.0)
+    replay(trace, tail_start).measured()
 }
 
 /// Whether the trace witnesses `α`-efficiency over its tail.
@@ -40,27 +42,7 @@ pub fn satisfies_efficiency(trace: &RunTrace, tail_start: usize, alpha: f64) -> 
 /// Mean utilization `X/C` over the tail — not the paper's metric (which is a
 /// worst-case bound) but a useful companion statistic reported alongside it.
 pub fn mean_utilization(trace: &RunTrace, tail_start: usize) -> f64 {
-    let c = trace.link.capacity();
-    let tail = &trace.total_window[tail_start.min(trace.len())..];
-    if tail.is_empty() {
-        return 0.0;
-    }
-    tail.iter().sum::<f64>() / (tail.len() as f64 * c)
-}
-
-trait PipeFinite {
-    fn pipe_finite_or(self, default: f64) -> f64;
-}
-
-impl PipeFinite for f64 {
-    /// `min` over an empty iterator yields `INFINITY`; map that to `default`.
-    fn pipe_finite_or(self, default: f64) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            default
-        }
-    }
+    replay(trace, tail_start).mean_utilization()
 }
 
 #[cfg(test)]

@@ -12,7 +12,15 @@
 //! fairness measure) — it is *not* the axiom, but experiment reports show
 //! both.
 
+use crate::axioms::streaming::FairnessAcc;
 use crate::trace::RunTrace;
+
+/// Replay the trace's per-sender columns through [`FairnessAcc`].
+pub(crate) fn replay(trace: &RunTrace, tail_start: usize) -> FairnessAcc {
+    let mut acc = FairnessAcc::new(trace.num_senders(), tail_start);
+    acc.push_steps(&trace.columns());
+    acc
+}
 
 /// The largest `α` such that every sender's tail-average window is at least
 /// an `α`-fraction of every other's: `min_{i,j} avg_i / avg_j`, which equals
@@ -22,21 +30,7 @@ use crate::trace::RunTrace;
 /// and 0.0 if some sender's tail-average window is 0 while another's is
 /// positive.
 pub fn measured_fairness(trace: &RunTrace, tail_start: usize) -> f64 {
-    if trace.num_senders() < 2 {
-        return 1.0;
-    }
-    let avgs: Vec<f64> = trace
-        .senders
-        .iter()
-        .map(|s| s.mean_window_from(tail_start))
-        .collect();
-    let max = avgs.iter().copied().fold(0.0, f64::max);
-    let min = avgs.iter().copied().fold(f64::INFINITY, f64::min);
-    if max <= 0.0 {
-        // All senders idle: vacuously fair.
-        return 1.0;
-    }
-    (min / max).clamp(0.0, 1.0)
+    replay(trace, tail_start).measured()
 }
 
 /// Whether the trace witnesses `α`-fairness over its tail.
@@ -48,18 +42,7 @@ pub fn satisfies_fairness(trace: &RunTrace, tail_start: usize, alpha: f64) -> bo
 /// `(Σ g_i)² / (n · Σ g_i²)`. Ranges from `1/n` (one sender hogs
 /// everything) to 1 (perfect equality).
 pub fn jain_index(trace: &RunTrace, tail_start: usize) -> f64 {
-    let g: Vec<f64> = trace
-        .senders
-        .iter()
-        .map(|s| s.mean_goodput_from(tail_start))
-        .collect();
-    let n = g.len() as f64;
-    let sum: f64 = g.iter().sum();
-    let sum_sq: f64 = g.iter().map(|x| x * x).sum();
-    if sum_sq <= 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (n * sum_sq)
+    replay(trace, tail_start).jain_index()
 }
 
 #[cfg(test)]

@@ -11,12 +11,15 @@
 //! cumulative gain after `Δt` steps is `α·Δt(Δt+1)/2 ≥ αΔt²/2`.
 //!
 //! The empirical evaluator scans a sender's trace for *eligible segments* —
-//! maximal stretches with zero loss (and, for non-loss-based protocols,
-//! non-increasing RTT) — and for each ascent start computes the worst
-//! normalized cumulative gain `2·Σ(x(t)−x(t1)) / Δt²` over all horizons
-//! `Δt ≥ min_horizon`. The measured score is the minimum over segments:
-//! the largest α the trace is consistent with.
+//! maximal stretches with zero loss, no back-off (a window drop of more
+//! than 1%), and, for non-loss-based protocols, non-increasing RTT — and
+//! scores each by its normalized cumulative gain `2·Σ(x(t)−x(t1)) / Δt²`.
+//! The measured score is the minimum over segments: the largest α the
+//! trace is consistent with. The scan is defined once, in
+//! [`FastUtilizationAcc`](crate::axioms::streaming::FastUtilizationAcc);
+//! [`measured_fast_utilization`] replays a recorded sender through it.
 
+use crate::axioms::streaming::FastUtilizationAcc;
 use crate::trace::SenderTrace;
 
 /// Minimum horizon `T` (in RTT steps) used by the empirical evaluator. The
@@ -24,79 +27,6 @@ use crate::trace::SenderTrace;
 /// stretches at least this long, which filters out quantization noise at
 /// the start of an ascent.
 pub const DEFAULT_MIN_HORIZON: usize = 8;
-
-/// An eligible (loss-free, RTT-non-increasing where required) segment of a
-/// sender trace: indices `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// First step of the segment.
-    pub start: usize,
-    /// One past the last step.
-    pub end: usize,
-}
-
-impl Segment {
-    /// Number of steps spanned.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the segment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
-/// Find the maximal eligible segments of a sender trace starting at
-/// `from`: stretches with `loss == 0` and, when `check_rtt` is set (the
-/// protocol is *not* loss-based), RTT non-increasing step over step.
-///
-/// A window *drop* of more than 1% also ends a segment: in sampled traces
-/// (the packet-level simulator records state on a fixed grid) the
-/// loss-triggered back-off can land one sample after the interval whose
-/// loss column marked the event, and an ascent measurement must not span
-/// a back-off.
-///
-/// `rtt` is the sender's RTT column — callers with a [`RunTrace`] pass
-/// `run.sender_rtt(i)`, which resolves the shared-vs-own storage.
-///
-/// [`RunTrace`]: crate::trace::RunTrace
-pub fn eligible_segments(
-    trace: &SenderTrace,
-    rtt: &[f64],
-    from: usize,
-    check_rtt: bool,
-) -> Vec<Segment> {
-    let n = trace.len();
-    let mut segs = Vec::new();
-    let mut start = None;
-    for t in from..n {
-        let lossy = trace.loss[t] > 0.0;
-        let backed_off = t > from && trace.window[t] < trace.window[t - 1] * 0.99 - 1e-12;
-        let rtt_rose = check_rtt && t > from && rtt[t] > rtt[t - 1] + 1e-12;
-        if lossy || backed_off || rtt_rose {
-            if let Some(s) = start.take() {
-                if t > s {
-                    segs.push(Segment { start: s, end: t });
-                }
-            }
-            // A back-off or RTT rise ends a segment, but the current step
-            // (already at the post-event window) can begin a new one; a
-            // lossy step cannot — its window predates the reaction.
-            if !lossy {
-                start = Some(t);
-            }
-        } else if start.is_none() {
-            start = Some(t);
-        }
-    }
-    if let Some(s) = start {
-        if n > s {
-            segs.push(Segment { start: s, end: n });
-        }
-    }
-    segs
-}
 
 /// The largest `α` consistent with the sender's ascents.
 ///
@@ -111,6 +41,10 @@ pub fn eligible_segments(
 /// such value over all eligible segments of length > `min_horizon`,
 /// realizing the axiom's quantification over ascent starts `t1`.
 ///
+/// `rtt` is the sender's RTT column (read only when the protocol is not
+/// loss-based) — callers with a [`RunTrace`](crate::trace::RunTrace)
+/// pass `run.sender_rtt(i)`, which resolves the shared-vs-own storage.
+///
 /// Returns `None` when the trace contains no eligible segment long enough
 /// to judge (the axiom is then vacuously satisfiable for any α on this
 /// trace, and the caller should lengthen the run).
@@ -120,26 +54,9 @@ pub fn measured_fast_utilization(
     from: usize,
     min_horizon: usize,
 ) -> Option<f64> {
-    let check_rtt = !trace.loss_based;
-    let mut worst: Option<f64> = None;
-    for seg in eligible_segments(trace, rtt, from, check_rtt) {
-        if seg.len() <= min_horizon {
-            continue;
-        }
-        let x1 = trace.window[seg.start];
-        let mut cum_gain = 0.0;
-        for dt in 1..seg.len() {
-            let t = seg.start + dt;
-            cum_gain += trace.window[t] - x1;
-        }
-        let final_dt = (seg.len() - 1) as f64;
-        let alpha = 2.0 * cum_gain / (final_dt * final_dt);
-        worst = Some(match worst {
-            None => alpha,
-            Some(w) => w.min(alpha),
-        });
-    }
-    worst.map(|w| w.max(0.0))
+    let mut acc = FastUtilizationAcc::new(&[trace.loss_based], from, min_horizon);
+    acc.push_columns(trace.len(), |_| (&trace.window, &trace.loss, rtt));
+    acc.measured(0)
 }
 
 /// Whether the trace witnesses `α`-fast-utilization (conservatively `false`
@@ -216,8 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn loss_splits_segments() {
-        // Two ascents separated by one lossy step.
+    fn loss_splits_ascents() {
+        // Two ascents separated by one lossy step: each scores its slope.
         let mut windows = Vec::new();
         let mut loss = Vec::new();
         for t in 0..20 {
@@ -232,27 +149,24 @@ mod tests {
         }
         let n = windows.len();
         let tr = sender(windows, loss, true);
-        let rtt = flat_rtt(n);
-        let segs = eligible_segments(&tr, &rtt, 0, false);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0], Segment { start: 0, end: 20 });
-        assert_eq!(segs[1], Segment { start: 21, end: 41 });
-        let m = measured_fast_utilization(&tr, &rtt, 0, 8).unwrap();
-        assert!(m >= 1.0 - 1e-9);
+        let m = measured_fast_utilization(&tr, &flat_rtt(n), 0, 8).unwrap();
+        assert!((1.0 - 1e-9..1.2).contains(&m), "measured {m}");
     }
 
     #[test]
     fn rtt_rise_splits_segments_for_latency_protocols() {
-        let windows: Vec<f64> = (0..30).map(|t| 10.0 + t as f64).collect();
+        // Flat for 15 steps, then +1 per step. The RTT rises at t = 15, so
+        // a non-loss-based sender's flat stretch is a segment of its own
+        // (gain 0); a loss-based sender ignores the rise and its single
+        // segment averages the two phases.
+        let windows: Vec<f64> = (0..30).map(|t| 10.0 + (t.max(14) - 14) as f64).collect();
         let mut rtt = vec![0.1; 30];
-        rtt[15] = 0.2; // RTT rises at t=15
-        let tr = sender(windows.clone(), vec![0.0; 30], false);
-        let segs = eligible_segments(&tr, &rtt, 0, true);
-        assert_eq!(segs.len(), 2, "{segs:?}");
-        // A loss-based protocol ignores the RTT rise: one segment.
-        let tr2 = sender(windows, vec![0.0; 30], true);
-        let segs2 = eligible_segments(&tr2, &rtt, 0, false);
-        assert_eq!(segs2.len(), 1);
+        rtt[15] = 0.2;
+        let latency = sender(windows.clone(), vec![0.0; 30], false);
+        assert_eq!(measured_fast_utilization(&latency, &rtt, 0, 8), Some(0.0));
+        let lossy = sender(windows, vec![0.0; 30], true);
+        let m = measured_fast_utilization(&lossy, &rtt, 0, 8).unwrap();
+        assert!((m - 240.0 / 841.0).abs() < 1e-12, "measured {m}");
     }
 
     #[test]
@@ -279,13 +193,5 @@ mod tests {
         let m = measured_fast_utilization(&tr, &rtt, 0, 8).unwrap();
         assert!(m < 0.2, "measured {m}");
         assert!(!satisfies_fast_utilization(&tr, &rtt, 0, 8, 1.0));
-    }
-
-    #[test]
-    fn segment_len_helpers() {
-        let s = Segment { start: 3, end: 10 };
-        assert_eq!(s.len(), 7);
-        assert!(!s.is_empty());
-        assert!(Segment { start: 5, end: 5 }.is_empty());
     }
 }

@@ -33,19 +33,7 @@ pub fn measured_friendliness(
     q_senders: &[usize],
     tail_start: usize,
 ) -> f64 {
-    if p_senders.is_empty() || q_senders.is_empty() {
-        return 1.0;
-    }
-    let avg = |i: usize| trace.senders[i].mean_window_from(tail_start);
-    let p_max = p_senders.iter().map(|&i| avg(i)).fold(0.0, f64::max);
-    let q_min = q_senders
-        .iter()
-        .map(|&j| avg(j))
-        .fold(f64::INFINITY, f64::min);
-    if p_max <= 0.0 {
-        return 1.0;
-    }
-    (q_min / p_max).max(0.0)
+    crate::axioms::fairness::replay(trace, tail_start).friendliness(p_senders, q_senders)
 }
 
 /// Whether the trace witnesses `α`-friendliness of the P-set towards the

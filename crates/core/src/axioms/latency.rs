@@ -14,6 +14,7 @@
 //! interesting for delay-based protocols like Vegas, which this repo
 //! implements to exercise Theorem 5.
 
+use crate::axioms::streaming::LatencyAcc;
 use crate::trace::RunTrace;
 
 /// The smallest `α` such that `RTT(t) < (1 + α)·2Θ` holds over the tail:
@@ -23,16 +24,9 @@ use crate::trace::RunTrace;
 /// paper calls loss-based protocols' latency scores "unbounded"; a run that
 /// keeps overflowing the buffer has no meaningful latency bound).
 pub fn measured_latency_inflation(trace: &RunTrace, tail_start: usize) -> f64 {
-    let floor = trace.link.min_rtt();
-    let mut worst = 0.0_f64;
-    for t in tail_start.min(trace.len())..trace.len() {
-        if trace.loss[t] > 0.0 {
-            // Timeout-capped step: RTT(t) = Δ; treat as unbounded.
-            return f64::INFINITY;
-        }
-        worst = worst.max(trace.rtt[t] / floor - 1.0);
-    }
-    worst.max(0.0)
+    let mut acc = LatencyAcc::new(&trace.link, tail_start);
+    acc.push_block(&trace.rtt, &trace.loss);
+    acc.measured()
 }
 
 /// Whether the trace witnesses `α`-latency-avoidance over its tail.

@@ -10,15 +10,20 @@
 //! why [`Metric::higher_is_better`](crate::axioms::Metric::higher_is_better)
 //! is `false` for this metric.
 
+use crate::axioms::streaming::LossAvoidanceAcc;
 use crate::trace::RunTrace;
+
+/// Replay the trace's link-loss column through [`LossAvoidanceAcc`].
+fn replay(trace: &RunTrace, tail_start: usize) -> LossAvoidanceAcc {
+    let mut acc = LossAvoidanceAcc::new(tail_start);
+    acc.push_block(&trace.loss);
+    acc
+}
 
 /// The smallest `α` the tail of the trace supports: the maximum link loss
 /// rate observed from `tail_start` onwards.
 pub fn measured_loss_bound(trace: &RunTrace, tail_start: usize) -> f64 {
-    trace.loss[tail_start.min(trace.len())..]
-        .iter()
-        .copied()
-        .fold(0.0, f64::max)
+    replay(trace, tail_start).measured()
 }
 
 /// Whether the trace witnesses `α`-loss-avoidance over its tail.
@@ -35,12 +40,7 @@ pub fn is_zero_loss(trace: &RunTrace, tail_start: usize) -> bool {
 /// Mean loss rate over the tail — companion statistic (the paper's bound is
 /// a worst case; experiment reports also show the average).
 pub fn mean_loss(trace: &RunTrace, tail_start: usize) -> f64 {
-    let tail = &trace.loss[tail_start.min(trace.len())..];
-    if tail.is_empty() {
-        0.0
-    } else {
-        tail.iter().sum::<f64>() / tail.len() as f64
-    }
+    replay(trace, tail_start).mean()
 }
 
 #[cfg(test)]

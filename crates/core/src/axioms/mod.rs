@@ -1,6 +1,6 @@
 //! The eight axioms ("metrics") of Section 3, as executable definitions.
 //!
-//! Each submodule implements one metric as a pair of functions over a
+//! Each submodule exposes one metric as a pair of functions over a
 //! [`RunTrace`](crate::trace::RunTrace):
 //!
 //! * `satisfies_*` — the paper's parameterized predicate ("P is α-efficient
@@ -11,6 +11,13 @@
 //! * `measured_*` — the **best score** the trace supports, i.e. the largest
 //!   (or, for loss, smallest) α for which the predicate holds. This is the
 //!   quantity the experiment builders place in the empirical Table 1.
+//!
+//! Each score is *defined* once, as an online accumulator in
+//! [`streaming`] (and, for the churn-aware forms, in [`churn`]): a live
+//! run folds its steps into the accumulator as the engine produces them,
+//! and `measured_*` scores a recorded trace by replaying its columns
+//! through the same accumulator. A test-only oracle keeps the original
+//! loop-based evaluators and pins the accumulators to them bit for bit.
 //!
 //! | Metric | Paper | Module |
 //! |---|---|---|
@@ -37,6 +44,8 @@ pub mod fast_utilization;
 pub mod friendliness;
 pub mod latency;
 pub mod loss_avoidance;
+#[cfg(test)]
+mod oracle;
 pub mod robustness;
 pub mod streaming;
 
@@ -111,6 +120,8 @@ impl std::fmt::Display for Metric {
 pub(crate) mod testutil {
     //! Hand-built traces for axiom unit tests.
 
+    use crate::axioms::fast_utilization::DEFAULT_MIN_HORIZON;
+    use crate::axioms::streaming::{Accumulator, MetricAccumulator, MetricConfig, MetricSet};
     use crate::link::LinkParams;
     use crate::trace::{RunTrace, SenderTrace};
 
@@ -149,6 +160,53 @@ pub(crate) mod testutil {
             loss: losses,
             seed: 0,
         }
+    }
+
+    /// Replay a whole trace through a [`MetricAccumulator`] maintaining
+    /// every family, with the default fast-utilization horizon.
+    pub fn replay(trace: &RunTrace, tail_fraction: f64, beta: f64) -> MetricAccumulator {
+        let mut acc = MetricAccumulator::new(&MetricConfig {
+            link: trace.link,
+            steps: trace.len(),
+            loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
+            tail_fraction,
+            min_horizon: DEFAULT_MIN_HORIZON,
+            escape_beta: beta,
+            metrics: MetricSet::ALL,
+        });
+        acc.push_steps(&trace.columns());
+        acc
+    }
+
+    /// Every score an accumulator exposes, as bits, so one `assert_eq!`
+    /// checks them all for bit equality (friendliness reads senders 0 and
+    /// 1 when there are two).
+    pub fn score_bits(acc: &MetricAccumulator) -> Vec<Option<u64>> {
+        let mut bits = vec![
+            Some(acc.measured_efficiency().to_bits()),
+            Some(acc.mean_utilization().to_bits()),
+            Some(acc.measured_loss_bound().to_bits()),
+            Some(acc.mean_loss().to_bits()),
+            Some(u64::from(acc.is_zero_loss())),
+            Some(acc.measured_latency_inflation().to_bits()),
+            Some(acc.measured_fairness().to_bits()),
+            Some(acc.jain_index().to_bits()),
+            Some(acc.measured_convergence().to_bits()),
+        ];
+        for i in 0..acc.num_senders() {
+            bits.extend([
+                acc.measured_fast_utilization(i).map(f64::to_bits),
+                Some(u64::from(acc.window_escapes(i, 0.2))),
+                Some(u64::from(acc.window_diverging(i, 1e-9))),
+                Some(acc.last_window(i).to_bits()),
+                Some(acc.tail_mean_window(i).to_bits()),
+                Some(acc.tail_mean_goodput(i).to_bits()),
+            ]);
+        }
+        if acc.num_senders() >= 2 {
+            bits.push(Some(acc.measured_friendliness(&[0], &[1]).to_bits()));
+        }
+        bits
     }
 
     /// A link with capacity C = 100 MSS and buffer 20 MSS, convenient for

@@ -18,25 +18,22 @@
 //! rates α that produces a protocol's measured robustness score runs
 //! simulations and therefore lives in `axcc-analysis`.
 
+use crate::axioms::streaming::RobustnessAcc;
 use crate::trace::SenderTrace;
+
+/// Replay one sender's window column through [`RobustnessAcc`].
+fn replay(trace: &SenderTrace, beta: f64) -> RobustnessAcc {
+    let mut acc = RobustnessAcc::new(1, trace.len(), beta);
+    acc.push_windows(trace.len(), |_| &trace.window);
+    acc
+}
 
 /// Evidence that the window "escapes" to at least `beta` on this trace:
 /// there is a step `T` after which `x^(t) ≥ beta` holds for the rest of the
 /// run, **and** that suffix is at least `min_suffix_frac` of the run (so a
 /// single final sample does not count as escape).
 pub fn window_escapes(trace: &SenderTrace, beta: f64, min_suffix_frac: f64) -> bool {
-    let n = trace.len();
-    if n == 0 {
-        return false;
-    }
-    // Last index where the window dips below beta.
-    let last_dip = trace.window.iter().rposition(|&w| w < beta);
-    let suffix_start = match last_dip {
-        None => 0,
-        Some(i) => i + 1,
-    };
-    let suffix_len = n - suffix_start;
-    suffix_len as f64 >= min_suffix_frac * n as f64 && suffix_len > 0
+    replay(trace, beta).escapes(0, min_suffix_frac)
 }
 
 /// A stronger trace-level signal used by the robustness sweep: the window
@@ -46,13 +43,8 @@ pub fn window_escapes(trace: &SenderTrace, beta: f64, min_suffix_frac: f64) -> b
 /// diverges, so any finite run of it ends in growth; a non-robust protocol
 /// stalls at a finite fixed point.
 pub fn window_diverging(trace: &SenderTrace, growth_margin: f64) -> bool {
-    let n = trace.len();
-    if n < 8 {
-        return false;
-    }
-    let q3 = crate::trace::mean(&trace.window[n / 2..3 * n / 4]);
-    let q4 = crate::trace::mean(&trace.window[3 * n / 4..]);
-    q4 > q3 + growth_margin
+    // The escape threshold plays no part in the quarter means.
+    replay(trace, 0.0).diverging(0, growth_margin)
 }
 
 #[cfg(test)]

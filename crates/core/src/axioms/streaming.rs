@@ -1,38 +1,48 @@
-//! Streaming (single-pass) axiom evaluation — the trace-free fast path.
+//! Single-pass axiom evaluation: the one definition of every metric that
+//! folds over a run.
 //!
 //! Every axiom of Section 3 is a statement about a trajectory of the form
-//! "there is some time step T such that from T onwards …", and every one
-//! of its empirical evaluators in the sibling modules is an in-order fold
-//! over trace columns: min/max folds (efficiency, loss-avoidance,
-//! convergence, latency), sequential sums (fairness and friendliness tail
-//! averages, fast-utilization cumulative gains), or a last-index scan
-//! (robustness). None of them needs the trajectory materialized — they
-//! need each step's values exactly once, in order.
+//! "there is some time step T such that from T onwards …", and each one
+//! evaluates as an in-order fold over the run's columns: min/max folds
+//! (efficiency, loss-avoidance, convergence, latency), sequential sums
+//! (fairness and friendliness tail averages, fast-utilization cumulative
+//! gains), or a last-index scan (robustness). None of them needs the
+//! trajectory materialized — they need each step's values exactly once,
+//! in order.
 //!
 //! This module provides one online accumulator per axiom plus a combined
-//! [`MetricAccumulator`] that consumes one [`StepRecord`] per sender per
-//! step in O(senders) memory, independent of run length. A simulation
-//! engine drives it directly from its hot loop (see `axcc-fluidsim`'s
-//! `StepSink`), eliminating the O(steps × senders) trace allocation
-//! entirely for metric-only sweeps.
+//! [`MetricAccumulator`] that consumes [`StepColumns`] — a borrowed,
+//! column-major view of consecutive steps — in O(senders) memory,
+//! independent of run length. Two producers expose that view without
+//! copying:
 //!
-//! **The bit-identity contract.** Each accumulator reproduces its
-//! trace-based evaluator *to the exact f64 bit*: the same additions in the
-//! same order (f64 addition is not associative, so sums must fold
-//! sequentially over steps exactly as the slice iterators do), the same
-//! `f64::min`/`f64::max` argument order (which decides NaN propagation),
-//! and the same edge-case returns for empty tails and idle senders. Tail
-//! boundaries and the robustness quartiles are precomputable because the
-//! run length is known up front ([`MetricConfig::steps`]), mirroring
-//! [`RunTrace::tail_start`](crate::trace::RunTrace::tail_start). The
-//! equivalence is asserted bit-for-bit by unit tests here, by property
-//! tests in `axcc-fluidsim`, and on every registry experiment by
-//! `axcc-analysis` and the `bench-engine` binary.
+//! * a simulation engine's staging [`StepBlock`], flushed into the
+//!   accumulator from the hot loop (see `axcc-fluidsim`'s `StepSink`), so
+//!   metric-only sweeps never allocate a trace;
+//! * a finished [`RunTrace`], via [`RunTrace::columns`]: the trace scorers
+//!   in the sibling modules (`efficiency::measured_efficiency`, …) replay
+//!   the recorded columns through these accumulators in one
+//!   [`Accumulator::push_steps`] call.
+//!
+//! A streamed run and a recorded-then-replayed run therefore score
+//! bit-identically by construction: the same accumulator sees the same
+//! values in the same order, and only the block boundaries differ. Block
+//! boundaries never change a score — every fold hoists its tail and
+//! quartile cuts to slice boundaries and otherwise consumes each column in
+//! step order, and the tests here replay the same run at several block
+//! capacities. Tail boundaries and the robustness quartiles are
+//! precomputable because the run length is known up front
+//! ([`MetricConfig::steps`]), mirroring [`RunTrace::tail_start`].
+//!
+//! [`RunTrace`]: crate::trace::RunTrace
+//! [`RunTrace::columns`]: crate::trace::RunTrace::columns
+//! [`RunTrace::tail_start`]: crate::trace::RunTrace::tail_start
 
 use crate::link::LinkParams;
+use crate::trace::SenderTrace;
 
-/// One sender's observation at one step: exactly the four values the
-/// trace path would append to its per-sender columns.
+/// One sender's observation at one step: window, experienced loss, RTT
+/// and goodput — one row of the per-sender columns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepRecord {
     /// Congestion window `x_i^(t)` (MSS); 0 for a not-yet-started sender.
@@ -45,8 +55,146 @@ pub struct StepRecord {
     pub goodput: f64,
 }
 
-/// A fixed-capacity column-major batch of simulation steps — the unit of
-/// the batched sink path (`StepSink::on_steps` in `axcc-fluidsim`).
+/// A borrowed, column-major view of consecutive steps of one run: the
+/// shared link columns (total window, link RTT, link loss) and each
+/// sender's window, loss, goodput and RTT columns.
+///
+/// [`StepBlock::columns`] and
+/// [`RunTrace::columns`](crate::trace::RunTrace::columns) build one
+/// without copying, which is what lets a recorded trace be scored by
+/// replaying it through the same accumulators a live run streams into.
+#[derive(Debug, Clone, Copy)]
+pub struct StepColumns<'a> {
+    totals: &'a [f64],
+    rtts: &'a [f64],
+    link_losses: &'a [f64],
+    senders: SenderColumns<'a>,
+}
+
+/// Where a [`StepColumns`] view finds its per-sender columns.
+#[derive(Debug, Clone, Copy)]
+enum SenderColumns<'a> {
+    /// A [`StepBlock`]'s sender-major staging: sender `i`'s rows start at
+    /// `i * stride`. Every sender's RTT is the shared column, as in the
+    /// synchronized fluid model.
+    Staged {
+        n: usize,
+        stride: usize,
+        windows: &'a [f64],
+        losses: &'a [f64],
+        goodputs: &'a [f64],
+    },
+    /// A recorded trace's per-sender columns; a sender's RTT is its own
+    /// column when it recorded one (packet-level and multi-hop runs).
+    Recorded(&'a [SenderTrace]),
+}
+
+impl<'a> StepColumns<'a> {
+    /// A view over a recorded run: shared link columns plus one
+    /// [`SenderTrace`] per sender, all of equal length.
+    pub(crate) fn recorded(
+        totals: &'a [f64],
+        rtts: &'a [f64],
+        link_losses: &'a [f64],
+        senders: &'a [SenderTrace],
+    ) -> Self {
+        StepColumns {
+            totals,
+            rtts,
+            link_losses,
+            senders: SenderColumns::Recorded(senders),
+        }
+    }
+
+    /// Number of steps in view.
+    pub fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Whether the view holds no step.
+    pub fn is_empty(&self) -> bool {
+        self.totals.is_empty()
+    }
+
+    /// Number of senders per step.
+    pub fn num_senders(&self) -> usize {
+        match self.senders {
+            SenderColumns::Staged { n, .. } => n,
+            SenderColumns::Recorded(s) => s.len(),
+        }
+    }
+
+    /// The total-window column `X^(t)`.
+    pub fn totals(&self) -> &'a [f64] {
+        self.totals
+    }
+
+    /// The shared link-RTT column.
+    pub fn rtts(&self) -> &'a [f64] {
+        self.rtts
+    }
+
+    /// The link-loss column.
+    pub fn link_losses(&self) -> &'a [f64] {
+        self.link_losses
+    }
+
+    /// Sender `i`'s window column.
+    pub fn windows(&self, i: usize) -> &'a [f64] {
+        match self.senders {
+            SenderColumns::Staged {
+                stride, windows, ..
+            } => &windows[i * stride..i * stride + self.len()],
+            SenderColumns::Recorded(s) => &s[i].window,
+        }
+    }
+
+    /// Sender `i`'s loss column.
+    pub fn sender_losses(&self, i: usize) -> &'a [f64] {
+        match self.senders {
+            SenderColumns::Staged { stride, losses, .. } => {
+                &losses[i * stride..i * stride + self.len()]
+            }
+            SenderColumns::Recorded(s) => &s[i].loss,
+        }
+    }
+
+    /// Sender `i`'s goodput column.
+    pub fn goodputs(&self, i: usize) -> &'a [f64] {
+        match self.senders {
+            SenderColumns::Staged {
+                stride, goodputs, ..
+            } => &goodputs[i * stride..i * stride + self.len()],
+            SenderColumns::Recorded(s) => &s[i].goodput,
+        }
+    }
+
+    /// Sender `i`'s RTT column: its own if it recorded one, otherwise the
+    /// shared link column.
+    pub fn sender_rtts(&self, i: usize) -> &'a [f64] {
+        match self.senders {
+            SenderColumns::Staged { .. } => self.rtts,
+            SenderColumns::Recorded(s) => s[i].rtt.as_deref().unwrap_or(self.rtts),
+        }
+    }
+}
+
+/// An online evaluator fed [`StepColumns`] in step order — the interface
+/// a live run (engine blocks) and a replayed trace share.
+/// [`MetricAccumulator`] and
+/// [`ChurnAccumulator`](crate::axioms::churn::ChurnAccumulator) implement
+/// it.
+pub trait Accumulator {
+    /// Consume the next `steps.len()` steps of the run.
+    fn push_steps(&mut self, steps: &StepColumns<'_>);
+
+    /// Clear run state, keeping the configuration, so the accumulator can
+    /// consume another run of the same shape.
+    fn reset(&mut self);
+}
+
+/// A fixed-capacity column-major batch of simulation steps — the unit the
+/// engine hands its sink (`StepSink::on_steps` in `axcc-fluidsim`).
 ///
 /// The engine stages each step's shared link state and per-sender values
 /// into the block and flushes it to the sink when full, so short runs pay
@@ -56,11 +204,9 @@ pub struct StepRecord {
 /// accumulator reads (each consumes its column in step order) and what
 /// the trace sink extends from.
 ///
-/// Consuming a block row-by-row in step order is bit-identical to the
-/// per-step path: [`record`](StepBlock::record) reconstructs exactly the
-/// `StepRecord` the engine would have passed to `on_step` (idle senders
-/// hold staged zeros; every sender's RTT is the shared column, as in the
-/// synchronized fluid model).
+/// [`record`](StepBlock::record) reconstructs the [`StepRecord`] a row
+/// holds for one sender (idle senders hold staged zeros; every sender's
+/// RTT is the shared column, as in the synchronized fluid model).
 #[derive(Debug, Clone, Default)]
 pub struct StepBlock {
     n: usize,
@@ -88,18 +234,7 @@ impl StepBlock {
 
     /// An empty block for `n` senders holding up to `cap` rows.
     pub fn new(n: usize, cap: usize) -> Self {
-        let mut block = StepBlock {
-            n: 0,
-            cap: 0,
-            len: 0,
-            start: 0,
-            totals: Vec::new(),
-            rtts: Vec::new(),
-            link_losses: Vec::new(),
-            windows: Vec::new(),
-            losses: Vec::new(),
-            goodputs: Vec::new(),
-        };
+        let mut block = StepBlock::default();
         block.reshape(n, cap);
         block
     }
@@ -188,6 +323,22 @@ impl StepBlock {
         self.start
     }
 
+    /// The committed rows as a column view.
+    pub fn columns(&self) -> StepColumns<'_> {
+        StepColumns {
+            totals: &self.totals[..self.len],
+            rtts: &self.rtts[..self.len],
+            link_losses: &self.link_losses[..self.len],
+            senders: SenderColumns::Staged {
+                n: self.n,
+                stride: self.cap,
+                windows: &self.windows,
+                losses: &self.losses,
+                goodputs: &self.goodputs,
+            },
+        }
+    }
+
     /// The committed slice of the total-window column.
     pub fn totals(&self) -> &[f64] {
         &self.totals[..self.len]
@@ -218,8 +369,7 @@ impl StepBlock {
         &self.goodputs[i * self.cap..i * self.cap + self.len]
     }
 
-    /// The [`StepRecord`] row `k` holds for sender `i` — exactly what the
-    /// per-step path would have passed to `on_step`.
+    /// The [`StepRecord`] row `k` holds for sender `i`.
     pub fn record(&self, i: usize, k: usize) -> StepRecord {
         let at = i * self.cap + k;
         StepRecord {
@@ -232,17 +382,17 @@ impl StepBlock {
 }
 
 /// A set of metric families for [`MetricAccumulator`] to maintain —
-/// the sink-specialization knob of the streaming path.
+/// the sink-specialization knob.
 ///
-/// Every streaming call site reads a small, statically-known subset of
-/// the axiom scores (a robustness sweep only ever calls
+/// Every call site reads a small, statically-known subset of the axiom
+/// scores (a robustness sweep only ever calls
 /// [`MetricAccumulator::window_escapes`]; a friendliness job only the
 /// fairness-family tail means), yet the combined accumulator pays every
 /// family's per-step fold. Restricting the set skips the disabled
 /// families' block passes entirely; the enabled families' folds are
-/// untouched, so every score that *is* maintained keeps the bit-identity
-/// contract. Reading a disabled family is a logic error (caught by
-/// `debug_assert!` in the accessors).
+/// untouched, so every score that *is* maintained is unchanged. Reading a
+/// disabled family is a logic error (caught by `debug_assert!` in the
+/// accessors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricSet(u8);
 
@@ -292,13 +442,14 @@ impl Default for MetricSet {
     }
 }
 
-/// Static shape of the run the accumulators will consume — everything the
-/// trace path would have read from `RunTrace` metadata — plus the
-/// [`MetricSet`] selecting which families to maintain.
+/// Static shape of the run the accumulators will consume — the link, run
+/// length and per-sender flags a trace records as metadata — plus the
+/// evaluation parameters and the [`MetricSet`] selecting which families
+/// to maintain.
 #[derive(Debug, Clone)]
 pub struct MetricConfig {
     /// The (nominal) link of the run; capacity and RTT floor come from
-    /// here, exactly as the trace evaluators read `trace.link`.
+    /// here.
     pub link: LinkParams,
     /// Total number of steps the run will execute.
     pub steps: usize,
@@ -351,18 +502,7 @@ impl EfficiencyAcc {
         }
     }
 
-    /// Consume one step's total window `X^(t)`.
-    pub fn push(&mut self, total: f64) {
-        if self.t >= self.tail_start {
-            self.worst_ratio = f64::min(self.worst_ratio, total / self.capacity);
-            self.sum += total;
-            self.tail_len += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of total windows — bit-identical to pushing each
-    /// in order (the per-step tail check hoists to one slice boundary).
+    /// Consume the next total windows `X^(t)`, in step order.
     pub fn push_block(&mut self, totals: &[f64]) {
         let from = self.tail_start.saturating_sub(self.t).min(totals.len());
         let mut worst = self.worst_ratio;
@@ -377,7 +517,8 @@ impl EfficiencyAcc {
         self.t += totals.len();
     }
 
-    /// `efficiency::measured_efficiency` of the stream so far.
+    /// Metric I: the worst tail utilization, capped at 1 (0 for an empty
+    /// tail).
     pub fn measured(&self) -> f64 {
         let worst = if self.worst_ratio.is_finite() {
             self.worst_ratio
@@ -387,7 +528,7 @@ impl EfficiencyAcc {
         worst.min(1.0)
     }
 
-    /// `efficiency::mean_utilization` of the stream so far.
+    /// Mean tail utilization `X/C` (0 for an empty tail).
     pub fn mean_utilization(&self) -> f64 {
         if self.tail_len == 0 {
             return 0.0;
@@ -427,18 +568,7 @@ impl LossAvoidanceAcc {
         }
     }
 
-    /// Consume one step's link loss rate `L^(t)`.
-    pub fn push(&mut self, loss: f64) {
-        if self.t >= self.tail_start {
-            self.worst = f64::max(self.worst, loss);
-            self.sum += loss;
-            self.tail_len += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of link loss rates — bit-identical to pushing each
-    /// in order.
+    /// Consume the next link loss rates `L^(t)`, in step order.
     pub fn push_block(&mut self, losses: &[f64]) {
         let from = self.tail_start.saturating_sub(self.t).min(losses.len());
         let mut worst = self.worst;
@@ -453,12 +583,12 @@ impl LossAvoidanceAcc {
         self.t += losses.len();
     }
 
-    /// `loss_avoidance::measured_loss_bound` of the stream so far.
+    /// Metric III: the largest tail loss rate.
     pub fn measured(&self) -> f64 {
         self.worst
     }
 
-    /// `loss_avoidance::mean_loss` of the stream so far.
+    /// Mean tail loss rate (0 for an empty tail).
     pub fn mean(&self) -> f64 {
         if self.tail_len == 0 {
             0.0
@@ -467,7 +597,7 @@ impl LossAvoidanceAcc {
         }
     }
 
-    /// Whether the tail is 0-loss (`loss_avoidance::is_zero_loss`).
+    /// Whether the tail is 0-loss.
     pub fn is_zero_loss(&self) -> bool {
         self.measured() <= 1e-12
     }
@@ -484,11 +614,8 @@ impl LossAvoidanceAcc {
 /// Metric VIII (latency-avoidance) online: max-fold of `RTT/(2Θ) − 1`
 /// over the tail, unbounded as soon as a tail step shows loss.
 ///
-/// The trace evaluator returns `INFINITY` the moment it meets a lossy
-/// step; the stream cannot early-return, so it latches a flag instead —
-/// the folded `worst` is discarded whenever the flag is set, which makes
-/// the two bit-identical (on a loss-free tail the folds see the same
-/// steps in the same order).
+/// A lossy tail step latches a flag; once it is set the folded `worst`
+/// is discarded, so later steps cannot matter.
 #[derive(Debug, Clone)]
 pub struct LatencyAcc {
     floor: f64,
@@ -510,20 +637,7 @@ impl LatencyAcc {
         }
     }
 
-    /// Consume one step's link RTT and loss rate.
-    pub fn push(&mut self, rtt: f64, loss: f64) {
-        if self.t >= self.tail_start {
-            if loss > 0.0 {
-                self.saw_tail_loss = true;
-            } else if !self.saw_tail_loss {
-                self.worst = f64::max(self.worst, rtt / self.floor - 1.0);
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of link RTT and loss rows — bit-identical to
-    /// pushing each pair in order.
+    /// Consume the next link RTT and loss rows, in step order.
     pub fn push_block(&mut self, rtts: &[f64], losses: &[f64]) {
         debug_assert_eq!(rtts.len(), losses.len());
         let from = self.tail_start.saturating_sub(self.t).min(rtts.len());
@@ -537,7 +651,8 @@ impl LatencyAcc {
         self.t += rtts.len();
     }
 
-    /// `latency::measured_latency_inflation` of the stream so far.
+    /// Metric VIII: the worst tail RTT inflation over `2Θ`, or infinity
+    /// when a tail step overflowed the buffer.
     pub fn measured(&self) -> f64 {
         if self.saw_tail_loss {
             return f64::INFINITY;
@@ -554,8 +669,7 @@ impl LatencyAcc {
 }
 
 /// Metrics IV and VII (fairness / friendliness) online: per-sender tail
-/// sums of window and goodput, combined at finish time exactly like
-/// `SenderTrace::mean_window_from` / `mean_goodput_from`.
+/// sums of window and goodput, combined into tail averages at read time.
 #[derive(Debug, Clone)]
 pub struct FairnessAcc {
     tail_start: usize,
@@ -577,34 +691,20 @@ impl FairnessAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        if self.t >= self.tail_start {
-            for (i, r) in records.iter().enumerate() {
-                self.win_sums[i] += r.window;
-                self.goodput_sums[i] += r.goodput;
-            }
-            self.tail_len += 1;
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps — bit-identical to per-step pushes: each
-    /// per-sender sum folds its own column in step order, so the additions
-    /// into `win_sums[i]` / `goodput_sums[i]` happen in exactly the order
-    /// the row-major path performs them.
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        let len = block.len();
+    /// Consume the next steps: each per-sender sum folds its own column
+    /// in step order.
+    pub fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        let len = cols.len();
         let from = self.tail_start.saturating_sub(self.t).min(len);
         if from < len {
             for i in 0..self.win_sums.len() {
                 let mut ws = self.win_sums[i];
-                for &w in &block.windows(i)[from..] {
+                for &w in &cols.windows(i)[from..len] {
                     ws += w;
                 }
                 self.win_sums[i] = ws;
                 let mut gs = self.goodput_sums[i];
-                for &g in &block.goodputs(i)[from..] {
+                for &g in &cols.goodputs(i)[from..len] {
                     gs += g;
                 }
                 self.goodput_sums[i] = gs;
@@ -614,7 +714,7 @@ impl FairnessAcc {
         self.t += len;
     }
 
-    /// Sender `i`'s tail-average window (`mean_window_from(tail)`).
+    /// Sender `i`'s tail-average window (0 for an empty tail).
     pub fn tail_mean_window(&self, i: usize) -> f64 {
         if self.tail_len == 0 {
             0.0
@@ -623,7 +723,7 @@ impl FairnessAcc {
         }
     }
 
-    /// Sender `i`'s tail-average goodput (`mean_goodput_from(tail)`).
+    /// Sender `i`'s tail-average goodput (0 for an empty tail).
     pub fn tail_mean_goodput(&self, i: usize) -> f64 {
         if self.tail_len == 0 {
             0.0
@@ -632,7 +732,8 @@ impl FairnessAcc {
         }
     }
 
-    /// `fairness::measured_fairness` of the stream so far.
+    /// Metric IV: smallest over largest tail-average window (1 for fewer
+    /// than two senders or when all are idle).
     pub fn measured(&self) -> f64 {
         let n = self.win_sums.len();
         if n < 2 {
@@ -647,7 +748,7 @@ impl FairnessAcc {
         (min / max).clamp(0.0, 1.0)
     }
 
-    /// `fairness::jain_index` of the stream so far.
+    /// Jain's index over tail-average goodputs (1 when all are idle).
     pub fn jain_index(&self) -> f64 {
         let n = self.goodput_sums.len() as f64;
         let g = (0..self.goodput_sums.len()).map(|i| self.tail_mean_goodput(i));
@@ -659,8 +760,9 @@ impl FairnessAcc {
         (sum * sum) / (n * sum_sq)
     }
 
-    /// `friendliness::measured_friendliness` of the stream so far, for
-    /// P-senders `p` and Q-senders `q` (indices into the sender order).
+    /// Metric VII for P-senders `p` and Q-senders `q` (indices into the
+    /// sender order): the smallest Q tail-average window over the largest
+    /// P one (1 when either set is empty or P is idle).
     pub fn friendliness(&self, p: &[usize], q: &[usize]) -> f64 {
         if p.is_empty() || q.is_empty() {
             return 1.0;
@@ -711,28 +813,16 @@ impl ConvergenceAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        if self.t >= self.tail_start {
-            for (i, r) in records.iter().enumerate() {
-                self.los[i] = f64::min(self.los[i], r.window);
-                self.his[i] = f64::max(self.his[i], r.window);
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Consume a batch of steps — bit-identical to per-step pushes (each
-    /// sender's `[lo, hi]` fold consumes its own column in step order
-    /// with the same `f64::min`/`f64::max` argument order).
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        let len = block.len();
+    /// Consume the next steps: each sender's `[lo, hi]` fold consumes its
+    /// own column in step order.
+    pub fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        let len = cols.len();
         let from = self.tail_start.saturating_sub(self.t).min(len);
         if from < len {
             for i in 0..self.los.len() {
                 let mut lo = self.los[i];
                 let mut hi = self.his[i];
-                for &w in &block.windows(i)[from..] {
+                for &w in &cols.windows(i)[from..len] {
                     lo = f64::min(lo, w);
                     hi = f64::max(hi, w);
                 }
@@ -743,7 +833,8 @@ impl ConvergenceAcc {
         self.t += len;
     }
 
-    /// `convergence::measured_convergence` of the stream so far.
+    /// Metric V: `min_i 2·lo_i / (lo_i + hi_i)`, optimizing each sender's
+    /// fixed point (1 for an empty tail or an all-zero sender).
     pub fn measured(&self) -> f64 {
         if self.tail_start.min(self.steps) >= self.steps {
             return 1.0;
@@ -766,7 +857,7 @@ impl ConvergenceAcc {
 }
 
 /// Metric VI (robustness) online: per-sender last-dip index below β, the
-/// third/fourth-quarter window sums behind `window_diverging`, and the
+/// third/fourth-quarter window sums behind the divergence test, and the
 /// final window.
 #[derive(Debug, Clone)]
 pub struct RobustnessAcc {
@@ -794,30 +885,17 @@ impl RobustnessAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        let (h, q) = (self.steps / 2, 3 * self.steps / 4);
-        for (i, r) in records.iter().enumerate() {
-            if r.window < self.beta {
-                self.last_dips[i] = Some(self.t);
-            }
-            if self.t >= q {
-                self.q4_sums[i] += r.window;
-            } else if self.t >= h {
-                self.q3_sums[i] += r.window;
-            }
-            self.last_windows[i] = r.window;
-        }
-        self.t += 1;
+    /// Consume the next steps.
+    pub fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        self.push_windows(cols.len(), |i| cols.windows(i));
     }
 
-    /// Consume a batch of steps — bit-identical to per-step pushes: the
-    /// quartile boundaries hoist to slice boundaries (every row in
+    /// Consume the next `len` steps given each sender's window column.
+    /// The quartile boundaries hoist to slice boundaries (every row in
     /// `[h_from, q_from)` satisfies `h <= t < q`, and rows from `q_from`
-    /// satisfy `t >= q`), and each per-sender sum folds its column in
-    /// step order.
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        let len = block.len();
+    /// satisfy `t >= q`), and each per-sender sum folds its column in step
+    /// order.
+    pub(crate) fn push_windows<'c>(&mut self, len: usize, window: impl Fn(usize) -> &'c [f64]) {
         if len == 0 {
             return;
         }
@@ -825,7 +903,7 @@ impl RobustnessAcc {
         let h_from = h.saturating_sub(self.t).min(len);
         let q_from = q.saturating_sub(self.t).min(len).max(h_from);
         for i in 0..self.last_dips.len() {
-            let col = block.windows(i);
+            let col = &window(i)[..len];
             let mut dip = self.last_dips[i];
             for (k, &w) in col.iter().enumerate() {
                 if w < self.beta {
@@ -848,8 +926,8 @@ impl RobustnessAcc {
         self.t += len;
     }
 
-    /// `robustness::window_escapes(senders[i], beta, min_suffix_frac)` of
-    /// the stream so far.
+    /// Whether sender `i`'s window stays at or above β from some step on,
+    /// for a suffix of at least `min_suffix_frac` of the run.
     pub fn escapes(&self, i: usize, min_suffix_frac: f64) -> bool {
         let n = self.t;
         if n == 0 {
@@ -863,8 +941,9 @@ impl RobustnessAcc {
         suffix_len as f64 >= min_suffix_frac * n as f64 && suffix_len > 0
     }
 
-    /// `robustness::window_diverging(senders[i], growth_margin)` of the
-    /// stream so far.
+    /// Whether sender `i`'s mean window over the last quarter exceeds the
+    /// previous quarter's by more than `growth_margin` (false for runs
+    /// shorter than 8 steps).
     pub fn diverging(&self, i: usize, growth_margin: f64) -> bool {
         let n = self.steps;
         if n < 8 {
@@ -885,8 +964,7 @@ impl RobustnessAcc {
         q4 > q3 + growth_margin
     }
 
-    /// Sender `i`'s final window (`senders[i].window.last()`), 0 before
-    /// any step.
+    /// Sender `i`'s final window, 0 before any step.
     pub fn last_window(&self, i: usize) -> f64 {
         self.last_windows[i]
     }
@@ -901,10 +979,16 @@ impl RobustnessAcc {
     }
 }
 
-/// Per-sender streaming state for Metric II (fast-utilization): the
-/// segment scan of `fast_utilization::eligible_segments` fused with the
-/// per-segment cumulative-gain fold of `measured_fast_utilization`, using
-/// one step of lookback.
+/// Per-sender streaming state for Metric II (fast-utilization): the scan
+/// for eligible ascent segments fused with each segment's cumulative-gain
+/// fold, using one step of lookback.
+///
+/// A segment is a maximal stretch with zero loss, no window drop of more
+/// than 1%, and (for protocols that are not loss-based) non-increasing
+/// RTT. A window drop also ends a segment because sampled traces (the
+/// packet-level simulator records state on a fixed grid) can show the
+/// loss-triggered back-off one sample after the interval whose loss
+/// column marked the event, and an ascent must not span a back-off.
 #[derive(Debug, Clone)]
 struct FastUtilSender {
     check_rtt: bool,
@@ -942,37 +1026,46 @@ impl FastUtilSender {
         });
     }
 
-    fn push(&mut self, t: usize, from: usize, min_horizon: usize, r: &StepRecord) {
-        let lossy = r.loss > 0.0;
+    /// Consume step `t` of the scan that starts at `from`.
+    fn push(
+        &mut self,
+        t: usize,
+        from: usize,
+        min_horizon: usize,
+        window: f64,
+        loss: f64,
+        rtt: f64,
+    ) {
+        let lossy = loss > 0.0;
         let has_prev = t > from;
-        let backed_off = has_prev && r.window < self.prev_window * 0.99 - 1e-12;
-        let rtt_rose = self.check_rtt && has_prev && r.rtt > self.prev_rtt + 1e-12;
+        let backed_off = has_prev && window < self.prev_window * 0.99 - 1e-12;
+        let rtt_rose = self.check_rtt && has_prev && rtt > self.prev_rtt + 1e-12;
         if lossy || backed_off || rtt_rose {
             if let Some(s) = self.seg_start.take() {
                 self.finalize_segment(s, t, min_horizon);
             }
-            // A back-off or RTT rise ends a segment but can begin a new
-            // one at the post-event window; a lossy step cannot — exactly
-            // the `eligible_segments` rule.
+            // A back-off or RTT rise ends a segment, but the current step
+            // (already at the post-event window) can begin a new one; a
+            // lossy step cannot — its window predates the reaction.
             if !lossy {
                 self.seg_start = Some(t);
-                self.x1 = r.window;
+                self.x1 = window;
                 self.cum_gain = 0.0;
             }
         } else if self.seg_start.is_none() {
             self.seg_start = Some(t);
-            self.x1 = r.window;
+            self.x1 = window;
             self.cum_gain = 0.0;
         } else {
-            self.cum_gain += r.window - self.x1;
+            self.cum_gain += window - self.x1;
         }
-        self.prev_window = r.window;
-        self.prev_rtt = r.rtt;
+        self.prev_window = window;
+        self.prev_rtt = rtt;
     }
 
     fn measured(&self, end: usize, min_horizon: usize) -> Option<f64> {
         // Flush the open segment without mutating (`measured` may be read
-        // mid-stream by tests); clone the tiny state instead.
+        // mid-stream); clone the tiny state instead.
         let mut fin = self.clone();
         if let Some(s) = fin.seg_start.take() {
             if end > s {
@@ -1016,44 +1109,37 @@ impl FastUtilizationAcc {
         }
     }
 
-    /// Consume one step: every sender's record, in sender order.
-    pub fn push_step(&mut self, records: &[StepRecord]) {
-        if self.t >= self.from {
-            for (i, r) in records.iter().enumerate() {
-                self.senders[i].push(self.t, self.from, self.min_horizon, r);
-            }
-        }
-        self.t += 1;
+    /// Consume the next steps, reading each sender's RTT column (its own
+    /// when the view carries one).
+    pub fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        self.push_columns(cols.len(), |i| {
+            (cols.windows(i), cols.sender_losses(i), cols.sender_rtts(i))
+        });
     }
 
-    /// Consume a batch of steps — bit-identical to per-step pushes. The
-    /// segment scan is an inherently sequential state machine, so rows
-    /// replay per sender in step order (reading straight from the block's
-    /// columns instead of rebuilding a record slice per step).
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        let len = block.len();
+    /// Consume the next `len` steps given each sender's (window, loss,
+    /// RTT) columns. The segment scan is an inherently sequential state
+    /// machine, so each sender replays its rows in step order.
+    pub(crate) fn push_columns<'c>(
+        &mut self,
+        len: usize,
+        columns: impl Fn(usize) -> (&'c [f64], &'c [f64], &'c [f64]),
+    ) {
         let start = self.from.saturating_sub(self.t).min(len);
         let (t0, from, min_horizon) = (self.t, self.from, self.min_horizon);
-        let rtts = block.rtts();
         for (i, s) in self.senders.iter_mut().enumerate() {
-            let windows = block.windows(i);
-            let losses = block.sender_losses(i);
-            let goodputs = block.goodputs(i);
+            let (windows, losses, rtts) = columns(i);
             for k in start..len {
-                let r = StepRecord {
-                    window: windows[k],
-                    loss: losses[k],
-                    rtt: rtts[k],
-                    goodput: goodputs[k],
-                };
-                s.push(t0 + k, from, min_horizon, &r);
+                s.push(t0 + k, from, min_horizon, windows[k], losses[k], rtts[k]);
             }
         }
         self.t += len;
     }
 
-    /// `fast_utilization::measured_fast_utilization(senders[i], from,
-    /// min_horizon)` of the stream so far.
+    /// Metric II for sender `i`: the worst normalized cumulative gain
+    /// `2·Σ(x(t)−x(t1)) / Δt²` at each eligible segment's largest horizon,
+    /// over segments longer than the minimum horizon; `None` when no
+    /// segment was long enough to judge.
     pub fn measured(&self, i: usize) -> Option<f64> {
         self.senders[i].measured(self.t, self.min_horizon)
     }
@@ -1068,8 +1154,7 @@ impl FastUtilizationAcc {
 }
 
 /// The combined single-pass evaluator: one instance per run, consuming
-/// each step's shared link state and per-sender records, exposing every
-/// axiom score the trace evaluators would produce — bit-identically.
+/// [`StepColumns`] and exposing every axiom score of the run.
 #[derive(Debug, Clone)]
 pub struct MetricAccumulator {
     steps: usize,
@@ -1105,70 +1190,6 @@ impl MetricAccumulator {
         }
     }
 
-    /// Consume one step: the shared total window, link RTT and link loss
-    /// (the trace path's `total_window` / `rtt` / `loss` columns), plus
-    /// one record per sender in sender order.
-    pub fn push_step(&mut self, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
-        debug_assert_eq!(records.len(), self.n);
-        let m = self.metrics;
-        if m.contains(MetricSet::EFFICIENCY) {
-            self.efficiency.push(total);
-        }
-        if m.contains(MetricSet::LOSS_AVOIDANCE) {
-            self.loss.push(loss);
-        }
-        if m.contains(MetricSet::LATENCY) {
-            self.latency.push(rtt, loss);
-        }
-        if m.contains(MetricSet::FAIRNESS) {
-            self.fairness.push_step(records);
-        }
-        if m.contains(MetricSet::CONVERGENCE) {
-            self.convergence.push_step(records);
-        }
-        if m.contains(MetricSet::ROBUSTNESS) {
-            self.robustness.push_step(records);
-        }
-        if m.contains(MetricSet::FAST_UTILIZATION) {
-            self.fast_utilization.push_step(records);
-        }
-        self.t += 1;
-    }
-
-    /// Consume a whole block of steps at once — bit-identical to feeding
-    /// the same rows through [`MetricAccumulator::push_step`] one at a
-    /// time. Each sub-accumulator walks the block's contiguous columns in
-    /// step order, so the f64 accumulation order is exactly the per-step
-    /// order; the win is branch hoisting (tail boundaries and quartile
-    /// cuts computed once per block instead of once per step) and the
-    /// removal of the per-step `StepRecord` slice round-trip.
-    pub fn push_steps(&mut self, block: &StepBlock) {
-        debug_assert_eq!(block.num_senders(), self.n);
-        let m = self.metrics;
-        if m.contains(MetricSet::EFFICIENCY) {
-            self.efficiency.push_block(block.totals());
-        }
-        if m.contains(MetricSet::LOSS_AVOIDANCE) {
-            self.loss.push_block(block.link_losses());
-        }
-        if m.contains(MetricSet::LATENCY) {
-            self.latency.push_block(block.rtts(), block.link_losses());
-        }
-        if m.contains(MetricSet::FAIRNESS) {
-            self.fairness.push_steps(block);
-        }
-        if m.contains(MetricSet::CONVERGENCE) {
-            self.convergence.push_steps(block);
-        }
-        if m.contains(MetricSet::ROBUSTNESS) {
-            self.robustness.push_steps(block);
-        }
-        if m.contains(MetricSet::FAST_UTILIZATION) {
-            self.fast_utilization.push_steps(block);
-        }
-        self.t += block.len();
-    }
-
     /// Steps consumed so far.
     pub fn steps_seen(&self) -> usize {
         self.t
@@ -1184,81 +1205,79 @@ impl MetricAccumulator {
         self.n
     }
 
-    /// Metric I: `efficiency::measured_efficiency`.
+    /// Metric I: worst tail utilization, capped at 1.
     pub fn measured_efficiency(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::EFFICIENCY));
         self.efficiency.measured()
     }
 
-    /// Companion: `efficiency::mean_utilization`.
+    /// Companion: mean tail utilization.
     pub fn mean_utilization(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::EFFICIENCY));
         self.efficiency.mean_utilization()
     }
 
-    /// Metric III: `loss_avoidance::measured_loss_bound`.
+    /// Metric III: largest tail loss rate.
     pub fn measured_loss_bound(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::LOSS_AVOIDANCE));
         self.loss.measured()
     }
 
-    /// Companion: `loss_avoidance::mean_loss`.
+    /// Companion: mean tail loss rate.
     pub fn mean_loss(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::LOSS_AVOIDANCE));
         self.loss.mean()
     }
 
-    /// `loss_avoidance::is_zero_loss`.
+    /// Whether the tail is 0-loss.
     pub fn is_zero_loss(&self) -> bool {
         debug_assert!(self.metrics.contains(MetricSet::LOSS_AVOIDANCE));
         self.loss.is_zero_loss()
     }
 
-    /// Metric VIII: `latency::measured_latency_inflation`.
+    /// Metric VIII: worst tail RTT inflation (infinite on a lossy tail).
     pub fn measured_latency_inflation(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::LATENCY));
         self.latency.measured()
     }
 
-    /// Metric IV: `fairness::measured_fairness`.
+    /// Metric IV: worst ratio of tail-average windows.
     pub fn measured_fairness(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.measured()
     }
 
-    /// Companion: `fairness::jain_index`.
+    /// Companion: Jain's index over tail-average goodputs.
     pub fn jain_index(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.jain_index()
     }
 
-    /// Metric V: `convergence::measured_convergence`.
+    /// Metric V: worst per-sender convergence band.
     pub fn measured_convergence(&self) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::CONVERGENCE));
         self.convergence.measured()
     }
 
-    /// Metric II per sender: `fast_utilization::measured_fast_utilization`.
+    /// Metric II for sender `i`.
     pub fn measured_fast_utilization(&self, i: usize) -> Option<f64> {
         debug_assert!(self.metrics.contains(MetricSet::FAST_UTILIZATION));
         self.fast_utilization.measured(i)
     }
 
-    /// Metric VII: `friendliness::measured_friendliness` for P-set `p`
-    /// and Q-set `q`.
+    /// Metric VII for P-set `p` and Q-set `q`.
     pub fn measured_friendliness(&self, p: &[usize], q: &[usize]) -> f64 {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.friendliness(p, q)
     }
 
-    /// Metric VI per sender: `robustness::window_escapes` at the
-    /// configured β.
+    /// Metric VI for sender `i`: escape above the configured β.
     pub fn window_escapes(&self, i: usize, min_suffix_frac: f64) -> bool {
         debug_assert!(self.metrics.contains(MetricSet::ROBUSTNESS));
         self.robustness.escapes(i, min_suffix_frac)
     }
 
-    /// Metric VI per sender: `robustness::window_diverging`.
+    /// Metric VI for sender `i`: window still growing at the end.
     pub fn window_diverging(&self, i: usize, growth_margin: f64) -> bool {
         debug_assert!(self.metrics.contains(MetricSet::ROBUSTNESS));
         self.robustness.diverging(i, growth_margin)
@@ -1281,11 +1300,42 @@ impl MetricAccumulator {
         debug_assert!(self.metrics.contains(MetricSet::FAIRNESS));
         self.fairness.tail_mean_goodput(i)
     }
+}
 
-    /// Clear all run state so the accumulator can consume another run of
-    /// the same shape (sweep jobs reuse one instance across scenario
-    /// variations instead of reallocating per run).
-    pub fn reset(&mut self) {
+impl Accumulator for MetricAccumulator {
+    /// Each enabled family walks the view's contiguous columns in step
+    /// order; tail boundaries and quartile cuts are computed once per
+    /// call.
+    fn push_steps(&mut self, cols: &StepColumns<'_>) {
+        debug_assert_eq!(cols.num_senders(), self.n);
+        let m = self.metrics;
+        if m.contains(MetricSet::EFFICIENCY) {
+            self.efficiency.push_block(cols.totals());
+        }
+        if m.contains(MetricSet::LOSS_AVOIDANCE) {
+            self.loss.push_block(cols.link_losses());
+        }
+        if m.contains(MetricSet::LATENCY) {
+            self.latency.push_block(cols.rtts(), cols.link_losses());
+        }
+        if m.contains(MetricSet::FAIRNESS) {
+            self.fairness.push_steps(cols);
+        }
+        if m.contains(MetricSet::CONVERGENCE) {
+            self.convergence.push_steps(cols);
+        }
+        if m.contains(MetricSet::ROBUSTNESS) {
+            self.robustness.push_steps(cols);
+        }
+        if m.contains(MetricSet::FAST_UTILIZATION) {
+            self.fast_utilization.push_steps(cols);
+        }
+        self.t += cols.len();
+    }
+
+    /// Sweep jobs reuse one instance across same-shape scenario
+    /// variations instead of reallocating per run.
+    fn reset(&mut self) {
         self.t = 0;
         self.efficiency.reset();
         self.loss.reset();
@@ -1300,236 +1350,14 @@ impl MetricAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::axioms::testutil::{small_link, trace_from_windows};
-    use crate::axioms::{
-        convergence, efficiency, fairness, fast_utilization, friendliness, latency, loss_avoidance,
-        robustness,
-    };
+    use crate::axioms::testutil::{replay, score_bits, small_link, trace_from_windows};
     use crate::trace::RunTrace;
 
-    /// Drive an accumulator with exactly the columns a finished trace
-    /// holds — the reference replay every equivalence test uses.
-    fn accumulate(trace: &RunTrace, tail_fraction: f64, beta: f64) -> MetricAccumulator {
-        let cfg = MetricConfig {
-            link: trace.link,
-            steps: trace.len(),
-            loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
-            tail_fraction,
-            min_horizon: fast_utilization::DEFAULT_MIN_HORIZON,
-            escape_beta: beta,
-            metrics: MetricSet::ALL,
-        };
-        let mut acc = MetricAccumulator::new(&cfg);
-        let mut records = Vec::with_capacity(trace.num_senders());
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            acc.push_step(trace.total_window[t], trace.rtt[t], trace.loss[t], &records);
-        }
-        acc
-    }
-
-    fn assert_matches_trace(trace: &RunTrace, tail_fraction: f64) {
-        let tail = trace.tail_start(tail_fraction);
-        let beta = 50.0;
-        let acc = accumulate(trace, tail_fraction, beta);
-        assert_eq!(
-            acc.measured_efficiency().to_bits(),
-            efficiency::measured_efficiency(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.mean_utilization().to_bits(),
-            efficiency::mean_utilization(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_loss_bound().to_bits(),
-            loss_avoidance::measured_loss_bound(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.mean_loss().to_bits(),
-            loss_avoidance::mean_loss(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.is_zero_loss(),
-            loss_avoidance::is_zero_loss(trace, tail)
-        );
-        assert_eq!(
-            acc.measured_latency_inflation().to_bits(),
-            latency::measured_latency_inflation(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_fairness().to_bits(),
-            fairness::measured_fairness(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.jain_index().to_bits(),
-            fairness::jain_index(trace, tail).to_bits()
-        );
-        assert_eq!(
-            acc.measured_convergence().to_bits(),
-            convergence::measured_convergence(trace, tail).to_bits()
-        );
-        for (i, s) in trace.senders.iter().enumerate() {
-            assert_eq!(
-                acc.measured_fast_utilization(i).map(f64::to_bits),
-                fast_utilization::measured_fast_utilization(
-                    s,
-                    trace.sender_rtt(i),
-                    tail,
-                    fast_utilization::DEFAULT_MIN_HORIZON
-                )
-                .map(f64::to_bits),
-                "fast-utilization diverged for sender {i}"
-            );
-            assert_eq!(
-                acc.window_escapes(i, 0.2),
-                robustness::window_escapes(s, beta, 0.2)
-            );
-            assert_eq!(
-                acc.window_diverging(i, 1e-9),
-                robustness::window_diverging(s, 1e-9)
-            );
-            assert_eq!(
-                acc.last_window(i).to_bits(),
-                s.window.last().copied().unwrap_or(0.0).to_bits()
-            );
-            assert_eq!(
-                acc.tail_mean_window(i).to_bits(),
-                s.mean_window_from(tail).to_bits()
-            );
-            assert_eq!(
-                acc.tail_mean_goodput(i).to_bits(),
-                s.mean_goodput_from(tail).to_bits()
-            );
-        }
-        if trace.num_senders() >= 2 {
-            assert_eq!(
-                acc.measured_friendliness(&[0], &[1]).to_bits(),
-                friendliness::measured_friendliness(trace, &[0], &[1], tail).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn sawtooth_pair_matches_trace_evaluation() {
-        let a: Vec<f64> = (0..64).map(|t| 30.0 + (t % 16) as f64 * 4.0).collect();
-        let b: Vec<f64> = (0..64).map(|t| 60.0 - (t % 8) as f64 * 3.0).collect();
-        let trace = trace_from_windows(small_link(), &[a, b]);
-        for frac in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_matches_trace(&trace, frac);
-        }
-    }
-
-    #[test]
-    fn lossy_overflow_matches_trace_evaluation() {
-        // Overshoots C + τ = 120 periodically: loss steps exercise the
-        // latency INF path and fast-utilization segment splitting.
-        let w: Vec<f64> = (0..48)
-            .map(|t| if t % 6 == 5 { 140.0 } else { 80.0 + t as f64 })
-            .collect();
-        let trace = trace_from_windows(small_link(), &[w]);
-        for frac in [0.0, 0.5] {
-            assert_matches_trace(&trace, frac);
-        }
-    }
-
-    #[test]
-    fn idle_and_staggered_senders_match_trace_evaluation() {
-        // Sender 1 idle for the first half (staggered entry shape).
-        let a = vec![50.0; 32];
-        let b: Vec<f64> = (0..32).map(|t| if t < 16 { 0.0 } else { 20.0 }).collect();
-        let trace = trace_from_windows(small_link(), &[a, b]);
-        for frac in [0.0, 0.25, 0.5, 0.75] {
-            assert_matches_trace(&trace, frac);
-        }
-    }
-
-    #[test]
-    fn all_idle_trace_matches_vacuous_scores() {
-        let trace = trace_from_windows(small_link(), &[vec![0.0; 10], vec![0.0; 10]]);
-        assert_matches_trace(&trace, 0.5);
-        let acc = accumulate(&trace, 0.5, 50.0);
-        assert_eq!(acc.measured_fairness(), 1.0);
-        assert_eq!(acc.measured_convergence(), 1.0);
-    }
-
-    #[test]
-    fn empty_tail_matches_trace_evaluation() {
-        let trace = trace_from_windows(small_link(), &[vec![50.0; 8]]);
-        assert_matches_trace(&trace, 1.0);
-    }
-
-    #[test]
-    fn reset_reproduces_a_fresh_accumulator() {
-        let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
-        let trace = trace_from_windows(small_link(), &[w]);
-        let fresh = accumulate(&trace, 0.5, 50.0);
-        let mut reused = accumulate(&trace, 0.5, 50.0);
-        reused.reset();
-        // Replay after reset: every score must match the fresh pass.
-        let mut records = Vec::new();
-        for t in 0..trace.len() {
-            records.clear();
-            for (i, s) in trace.senders.iter().enumerate() {
-                records.push(StepRecord {
-                    window: s.window[t],
-                    loss: s.loss[t],
-                    rtt: trace.sender_rtt(i)[t],
-                    goodput: s.goodput[t],
-                });
-            }
-            reused.push_step(trace.total_window[t], trace.rtt[t], trace.loss[t], &records);
-        }
-        assert_eq!(
-            reused.measured_efficiency().to_bits(),
-            fresh.measured_efficiency().to_bits()
-        );
-        assert_eq!(
-            reused.measured_fast_utilization(0).map(f64::to_bits),
-            fresh.measured_fast_utilization(0).map(f64::to_bits)
-        );
-        assert_eq!(
-            reused.measured_convergence().to_bits(),
-            fresh.measured_convergence().to_bits()
-        );
-    }
-
-    #[test]
-    fn robustness_quartiles_match_growing_window() {
-        let w: Vec<f64> = (0..100).map(|t| t as f64).collect();
-        let trace = trace_from_windows(crate::link::LinkParams::new(1.0e6, 0.05, 1.0e6), &[w]);
-        assert_matches_trace(&trace, 0.5);
-        let acc = accumulate(&trace, 0.5, 50.0);
-        assert!(acc.window_escapes(0, 0.25));
-        assert!(acc.window_diverging(0, 1.0));
-    }
-
-    /// Replay the same trace through `StepBlock`s of capacity `cap`,
-    /// flushing each full block through the batched `push_steps` ingest —
-    /// the path the engine's short-run sink specialization exercises.
-    fn accumulate_blocks(
-        trace: &RunTrace,
-        tail_fraction: f64,
-        beta: f64,
-        cap: usize,
-    ) -> MetricAccumulator {
-        let cfg = MetricConfig {
-            link: trace.link,
-            steps: trace.len(),
-            loss_based: trace.senders.iter().map(|s| s.loss_based).collect(),
-            tail_fraction,
-            min_horizon: fast_utilization::DEFAULT_MIN_HORIZON,
-            escape_beta: beta,
-            metrics: MetricSet::ALL,
-        };
-        let mut acc = MetricAccumulator::new(&cfg);
+    /// Replay `trace` through `StepBlock`s of capacity `cap`, flushing each
+    /// full block — the way the engine delivers a live run.
+    fn replay_blocks(trace: &RunTrace, tail_fraction: f64, cap: usize) -> MetricAccumulator {
+        let mut acc = replay(trace, tail_fraction, 50.0);
+        acc.reset();
         let mut block = StepBlock::new(trace.num_senders(), cap);
         for t in 0..trace.len() {
             block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
@@ -1537,94 +1365,22 @@ mod tests {
                 block.stage_sender(i, s.window[t], s.loss[t], s.goodput[t]);
             }
             if block.advance() {
-                acc.push_steps(&block);
+                acc.push_steps(&block.columns());
                 block.begin(t + 1);
             }
         }
         if !block.is_empty() {
-            acc.push_steps(&block);
+            acc.push_steps(&block.columns());
         }
         acc
     }
 
-    fn assert_blocks_match_steps(trace: &RunTrace, tail_fraction: f64, cap: usize) {
-        let beta = 50.0;
-        let by_step = accumulate(trace, tail_fraction, beta);
-        let by_block = accumulate_blocks(trace, tail_fraction, beta, cap);
-        assert_eq!(by_block.steps_seen(), by_step.steps_seen());
-        assert_eq!(
-            by_block.measured_efficiency().to_bits(),
-            by_step.measured_efficiency().to_bits()
-        );
-        assert_eq!(
-            by_block.mean_utilization().to_bits(),
-            by_step.mean_utilization().to_bits()
-        );
-        assert_eq!(
-            by_block.measured_loss_bound().to_bits(),
-            by_step.measured_loss_bound().to_bits()
-        );
-        assert_eq!(
-            by_block.mean_loss().to_bits(),
-            by_step.mean_loss().to_bits()
-        );
-        assert_eq!(by_block.is_zero_loss(), by_step.is_zero_loss());
-        assert_eq!(
-            by_block.measured_latency_inflation().to_bits(),
-            by_step.measured_latency_inflation().to_bits()
-        );
-        assert_eq!(
-            by_block.measured_fairness().to_bits(),
-            by_step.measured_fairness().to_bits()
-        );
-        assert_eq!(
-            by_block.jain_index().to_bits(),
-            by_step.jain_index().to_bits()
-        );
-        assert_eq!(
-            by_block.measured_convergence().to_bits(),
-            by_step.measured_convergence().to_bits()
-        );
-        for i in 0..trace.num_senders() {
-            assert_eq!(
-                by_block.measured_fast_utilization(i).map(f64::to_bits),
-                by_step.measured_fast_utilization(i).map(f64::to_bits),
-                "fast-utilization diverged for sender {i} at cap {cap}"
-            );
-            assert_eq!(
-                by_block.window_escapes(i, 0.2),
-                by_step.window_escapes(i, 0.2)
-            );
-            assert_eq!(
-                by_block.window_diverging(i, 1e-9),
-                by_step.window_diverging(i, 1e-9)
-            );
-            assert_eq!(
-                by_block.last_window(i).to_bits(),
-                by_step.last_window(i).to_bits()
-            );
-            assert_eq!(
-                by_block.tail_mean_window(i).to_bits(),
-                by_step.tail_mean_window(i).to_bits()
-            );
-            assert_eq!(
-                by_block.tail_mean_goodput(i).to_bits(),
-                by_step.tail_mean_goodput(i).to_bits()
-            );
-        }
-        if trace.num_senders() >= 2 {
-            assert_eq!(
-                by_block.measured_friendliness(&[0], &[1]).to_bits(),
-                by_step.measured_friendliness(&[0], &[1]).to_bits()
-            );
-        }
-    }
-
     #[test]
-    fn block_ingest_matches_per_step_ingest() {
+    fn block_boundaries_never_change_a_score() {
         // Odd capacities force tail boundaries and quartile cuts to land
-        // mid-block; cap 1 degenerates to the per-step path; a cap larger
-        // than the run exercises the final partial flush.
+        // mid-block; cap 1 is the per-step path; a cap larger than the run
+        // exercises the final partial flush. The whole-trace replay is one
+        // block of the run's length.
         let a: Vec<f64> = (0..64).map(|t| 30.0 + (t % 16) as f64 * 4.0).collect();
         let b: Vec<f64> = (0..64).map(|t| 60.0 - (t % 8) as f64 * 3.0).collect();
         let sawtooth = trace_from_windows(small_link(), &[a, b]);
@@ -1637,11 +1393,25 @@ mod tests {
         let staggered = trace_from_windows(small_link(), &[idle_a, idle_b]);
         for trace in [&sawtooth, &lossy, &staggered] {
             for frac in [0.0, 0.25, 0.5, 0.9, 1.0] {
+                let whole = score_bits(&replay(trace, frac, 50.0));
                 for cap in [1, 7, 16, 1024] {
-                    assert_blocks_match_steps(trace, frac, cap);
+                    let by_block = replay_blocks(trace, frac, cap);
+                    assert_eq!(by_block.steps_seen(), trace.len());
+                    assert_eq!(score_bits(&by_block), whole, "cap {cap}, tail {frac}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn reset_reproduces_a_fresh_accumulator() {
+        let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
+        let trace = trace_from_windows(small_link(), &[w]);
+        let fresh = replay(&trace, 0.5, 50.0);
+        let mut reused = replay(&trace, 0.5, 50.0);
+        reused.reset();
+        reused.push_steps(&trace.columns());
+        assert_eq!(score_bits(&reused), score_bits(&fresh));
     }
 
     #[test]
@@ -1665,6 +1435,14 @@ mod tests {
         assert_eq!(r.loss, 0.5);
         assert_eq!(r.rtt, 0.05);
         assert_eq!(r.goodput, 8.0);
+        // The column view sees exactly the committed rows.
+        let cols = block.columns();
+        assert_eq!(cols.len(), 3);
+        assert_eq!(cols.num_senders(), 2);
+        assert_eq!(cols.windows(1), block.windows(1));
+        assert_eq!(cols.sender_losses(1), &[0.5; 3]);
+        assert_eq!(cols.goodputs(0), block.goodputs(0));
+        assert_eq!(cols.sender_rtts(1), block.rtts());
         // The fourth row fills the block.
         block.stage_shared(103.0, 0.05, 0.0);
         block.stage_sender(0, 4.0, 0.0, 9.0);
@@ -1682,40 +1460,35 @@ mod tests {
     }
 
     #[test]
+    fn trace_columns_prefer_own_rtt() {
+        let mut trace = trace_from_windows(small_link(), &[vec![50.0; 4], vec![60.0; 4]]);
+        let own: Vec<f64> = trace.rtt.iter().map(|r| r * 1.5).collect();
+        *trace.senders[1].own_rtt_mut() = own.clone();
+        let cols = trace.columns();
+        assert_eq!(cols.len(), 4);
+        assert_eq!(cols.sender_rtts(0), &trace.rtt[..]);
+        assert_eq!(cols.sender_rtts(1), &own[..]);
+        assert_eq!(cols.windows(1), &trace.senders[1].window[..]);
+    }
+
+    #[test]
     fn mid_stream_reads_do_not_disturb_the_final_score() {
-        // `measured` on the fast-utilization accumulator clones to flush
-        // the open segment; reading mid-stream must not corrupt state.
+        // Fast-utilization's reader clones to flush the open segment;
+        // reading between blocks must not corrupt state.
         let w: Vec<f64> = (0..40).map(|t| 10.0 + t as f64).collect();
-        let trace = trace_from_windows(small_link(), std::slice::from_ref(&w));
-        let cfg = MetricConfig {
-            link: trace.link,
-            steps: trace.len(),
-            loss_based: vec![true],
-            tail_fraction: 0.0,
-            min_horizon: 8,
-            escape_beta: 50.0,
-            metrics: MetricSet::ALL,
-        };
-        let mut acc = MetricAccumulator::new(&cfg);
-        for (t, &wt) in w.iter().enumerate() {
-            let rec = [StepRecord {
-                window: wt,
-                loss: trace.senders[0].loss[t],
-                rtt: trace.rtt[t],
-                goodput: trace.senders[0].goodput[t],
-            }];
-            acc.push_step(trace.total_window[t], trace.rtt[t], trace.loss[t], &rec);
+        let trace = trace_from_windows(small_link(), &[w]);
+        let mut acc = replay(&trace, 0.0, 50.0);
+        acc.reset();
+        let mut block = StepBlock::new(1, 1);
+        for t in 0..trace.len() {
+            let s = &trace.senders[0];
+            block.begin(t);
+            block.stage_shared(trace.total_window[t], trace.rtt[t], trace.loss[t]);
+            block.stage_sender(0, s.window[t], s.loss[t], s.goodput[t]);
+            block.advance();
+            acc.push_steps(&block.columns());
             let _ = acc.measured_fast_utilization(0);
         }
-        assert_eq!(
-            acc.measured_fast_utilization(0).map(f64::to_bits),
-            fast_utilization::measured_fast_utilization(
-                &trace.senders[0],
-                trace.sender_rtt(0),
-                0,
-                8
-            )
-            .map(f64::to_bits)
-        );
+        assert_eq!(score_bits(&acc), score_bits(&replay(&trace, 0.0, 50.0)));
     }
 }

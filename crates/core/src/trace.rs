@@ -4,8 +4,10 @@
 //! [`RunTrace`]: per time step, each sender's window, experienced loss rate,
 //! RTT, and goodput. All eight axioms of the paper are statements about such
 //! trajectories ("there is some time step T such that from T onwards …"),
-//! so their empirical evaluation is a pure function of the trace.
+//! so their empirical evaluation is a pure function of the trace: the
+//! scorers replay [`RunTrace::columns`] through the streaming accumulators.
 
+use crate::axioms::streaming::StepColumns;
 use crate::link::LinkParams;
 use serde::{Deserialize, Serialize};
 
@@ -140,6 +142,12 @@ impl RunTrace {
     /// every sender's RTT is identical by construction and stored once).
     pub fn sender_rtt(&self, i: usize) -> &[f64] {
         self.senders[i].rtt.as_deref().unwrap_or(&self.rtt)
+    }
+
+    /// The whole run as a column view — what the trace scorers replay
+    /// through the streaming accumulators in one `push_steps` call.
+    pub fn columns(&self) -> StepColumns<'_> {
+        StepColumns::recorded(&self.total_window, &self.rtt, &self.loss, &self.senders)
     }
 
     /// Utilization `X^(t) / C` at each step of the tail.

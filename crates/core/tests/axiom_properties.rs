@@ -3,9 +3,7 @@
 //! in the unit tests.
 
 #![allow(clippy::float_cmp)] // exact comparisons are deliberate in tests
-use axcc_core::axioms::{
-    convergence, efficiency, fairness, fast_utilization, latency, loss_avoidance,
-};
+use axcc_core::axioms::{convergence, efficiency, fairness, latency, loss_avoidance};
 use axcc_core::trace::{RunTrace, SenderTrace};
 use axcc_core::LinkParams;
 use proptest::prelude::*;
@@ -144,24 +142,5 @@ proptest! {
             fairness::satisfies_fairness(&trace, tail, alpha),
             fairness::measured_fairness(&trace, tail) >= alpha - 1e-12
         );
-    }
-
-    /// Eligible segments partition correctly: they never contain a lossy
-    /// step, never overlap, and appear in order.
-    #[test]
-    fn segments_are_disjoint_and_clean(link in arb_link(), windows in arb_windows()) {
-        let trace = trace_from(link, windows);
-        let s = &trace.senders[0];
-        let segs = fast_utilization::eligible_segments(s, trace.sender_rtt(0), 0, false);
-        let mut prev_end = 0;
-        for seg in &segs {
-            prop_assert!(seg.start >= prev_end);
-            prop_assert!(seg.end <= s.len());
-            prop_assert!(!seg.is_empty());
-            for t in seg.start..seg.end {
-                prop_assert_eq!(s.loss[t], 0.0, "lossy step inside segment");
-            }
-            prev_end = seg.end;
-        }
     }
 }

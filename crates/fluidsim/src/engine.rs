@@ -8,13 +8,15 @@
 //!   [`try_run_scenario`] returns and what plotting/CSV export needs;
 //! * [`MetricAccumulator`] (via [`try_run_scenario_streaming`]) folds each
 //!   step straight into the axiom scores in O(senders) memory, never
-//!   materializing a trajectory — the fast path for metric-only sweeps,
-//!   bit-identical to evaluating the axioms on the recorded trace.
+//!   materializing a trajectory — the fast path for metric-only sweeps.
+//!   Scoring a recorded trace replays its columns through the same
+//!   accumulator, so the two agree to the bit.
 
 use crate::loss::{compose_loss, sample_loss_fraction, LossModel, LossProcess};
-use crate::scenario::{FeedbackMode, MathMode, Scenario};
+use crate::scenario::{FeedbackMode, Scenario};
+use axcc_core::axioms::churn::ChurnAccumulator;
 use axcc_core::axioms::streaming::{
-    MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
+    Accumulator, MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
 };
 use axcc_core::protocol::clamp_window;
 use axcc_core::{LaneObs, RunTrace, ScenarioError, SenderTrace};
@@ -60,10 +62,9 @@ pub trait StepSink {
     }
 }
 
-/// The recording sink: builds the same [`RunTrace`] the engine always
-/// produced. This (together with its packet-level counterpart) is the
-/// sanctioned construction site for [`RunTrace`] — everything else goes
-/// through a sink so the two evaluation paths cannot drift.
+/// The recording sink: builds the run's [`RunTrace`]. This (together
+/// with its packet-level counterpart) is the sanctioned construction site
+/// for [`RunTrace`] — everything else goes through a sink.
 pub struct TraceSink {
     link: axcc_core::LinkParams,
     seed: u64,
@@ -138,23 +139,37 @@ impl StepSink for TraceSink {
     }
 }
 
+/// Feed one step to an accumulator as a one-row block. Accumulators
+/// consume column views only; the engine hands them whole blocks, so this
+/// per-step path serves direct `on_step` callers. Every sender's RTT is
+/// the shared `rtt`, as in the synchronized fluid model.
+fn push_row<A: Accumulator>(acc: &mut A, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
+    let mut row = StepBlock::new(records.len(), 1);
+    row.stage_shared(total, rtt, loss);
+    for (i, r) in records.iter().enumerate() {
+        row.stage_sender(i, r.window, r.loss, r.goodput);
+    }
+    row.advance();
+    acc.push_steps(&row.columns());
+}
+
 impl StepSink for MetricAccumulator {
     fn on_step(&mut self, _t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
-        self.push_step(total, rtt, loss, records);
+        push_row(self, total, rtt, loss, records);
     }
 
     fn on_steps(&mut self, block: &StepBlock) {
-        self.push_steps(block);
+        self.push_steps(&block.columns());
     }
 }
 
-impl StepSink for axcc_core::axioms::churn::ChurnAccumulator {
-    fn on_step(&mut self, _t: u64, total: f64, _rtt: f64, _loss: f64, records: &[StepRecord]) {
-        self.push_step(total, records);
+impl StepSink for ChurnAccumulator {
+    fn on_step(&mut self, _t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]) {
+        push_row(self, total, rtt, loss, records);
     }
 
     fn on_steps(&mut self, block: &StepBlock) {
-        self.push_steps(block);
+        self.push_steps(&block.columns());
     }
 }
 
@@ -247,26 +262,6 @@ fn with_workspace<R>(f: impl FnOnce(&mut EngineWorkspace) -> R) -> R {
     })
 }
 
-/// Four-accumulator chunked sum — the [`MathMode::Fast`] total-window
-/// reduction. Splitting the fold across four independent accumulators
-/// breaks the strict left-to-right association of `iter().sum()` (same
-/// math, different rounding), which is exactly the reordering `Fast`
-/// licenses; the payoff is an instruction-parallel, vectorizable
-/// reduction.
-fn chunked_sum(xs: &[f64]) -> f64 {
-    let chunks = xs.chunks_exact(4);
-    let tail = chunks.remainder();
-    let mut acc = [0.0f64; 4];
-    for c in chunks {
-        acc[0] += c[0];
-        acc[1] += c[1];
-        acc[2] += c[2];
-        acc[3] += c[3];
-    }
-    let rest: f64 = tail.iter().sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + rest
-}
-
 /// Run a scenario to completion, feeding every step to `sink`, or return
 /// a typed error for an invalid configuration or a numerically divergent
 /// run (the sink then holds a partial prefix and must be discarded).
@@ -315,9 +310,7 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///   rows are staged into a [`StepBlock`] delivered to the sink in
 ///   batches ([`StepSink::on_steps`]).
 ///
-/// Every f64 reduction keeps the scalar engine's exact evaluation order
-/// under [`MathMode::Exact`]; [`MathMode::Fast`] substitutes the chunked
-/// total and a `mul_add` goodput.
+/// Every f64 reduction keeps the scalar engine's exact evaluation order.
 pub fn try_run_scenario_with_workspace<S: StepSink>(
     scenario: Scenario,
     sink: &mut S,
@@ -333,7 +326,6 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         seed,
         bandwidth_changes,
         feedback,
-        math,
     } = scenario;
 
     let n = senders.len();
@@ -456,9 +448,8 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
             // Single-lane fast path: the robustness-sweep shape (one
             // sender, staged every step). Statement-for-statement the
             // general body below with the lane sweeps collapsed to index
-            // 0; `0.0 + w` is exactly the one-lane fold of both
-            // `iter().sum()` and `chunked_sum`, so totals are
-            // bit-identical in either math mode.
+            // 0; `0.0 + w` is exactly the one-lane fold of `iter().sum()`,
+            // so totals are bit-identical.
             for t in span_start..span_end {
                 let w0 = windows[0];
                 let total = 0.0 + w0;
@@ -481,10 +472,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
                 };
                 losses[0] = loss;
                 min_rtts[0] = min_rtts[0].min(rtt);
-                let goodput = match math {
-                    MathMode::Exact => w0 * (1.0 - loss) / rtt,
-                    MathMode::Fast => w0.mul_add(-loss, w0) / rtt,
-                };
+                let goodput = w0 * (1.0 - loss) / rtt;
                 goodputs[0] = goodput;
                 block.stage_shared(total, rtt, congestion_loss);
                 block.stage_sender(0, w0, loss, goodput);
@@ -524,10 +512,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
             // deliberately NOT used: f64 addition is non-associative, so
             // incremental updates would drift from the recorded column
             // and break the streaming path's bit-identity contract.)
-            let total = match math {
-                MathMode::Exact => windows.iter().sum(),
-                MathMode::Fast => chunked_sum(windows),
-            };
+            let total = windows.iter().sum();
             let rtt = active_link.rtt(total);
             let congestion_loss = active_link.loss_rate(total);
 
@@ -559,33 +544,15 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
                 for m in min_rtts.iter_mut() {
                     *m = m.min(rtt);
                 }
-                match math {
-                    MathMode::Exact => {
-                        for i in 0..n {
-                            goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
-                        }
-                    }
-                    MathMode::Fast => {
-                        for i in 0..n {
-                            goodputs[i] = windows[i].mul_add(-losses[i], windows[i]) / rtt;
-                        }
-                    }
+                for i in 0..n {
+                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
                 }
             } else {
                 for &i in active.iter() {
                     min_rtts[i] = min_rtts[i].min(rtt);
                 }
-                match math {
-                    MathMode::Exact => {
-                        for &i in active.iter() {
-                            goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
-                        }
-                    }
-                    MathMode::Fast => {
-                        for &i in active.iter() {
-                            goodputs[i] = windows[i].mul_add(-losses[i], windows[i]) / rtt;
-                        }
-                    }
+                for &i in active.iter() {
+                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
                 }
             }
 
@@ -650,8 +617,11 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
 /// Run a scenario to completion, producing the full trace, or a typed
 /// error for an invalid configuration or a numerically divergent run.
 ///
-/// Thin wrapper: [`try_run_scenario_with`] driving a [`TraceSink`].
+/// Thin wrapper: [`try_run_scenario_with`] driving a [`TraceSink`]. The
+/// scenario is validated before the sink reserves its `steps`-long
+/// columns, so an invalid one fails without allocating them.
 pub fn try_run_scenario(scenario: Scenario) -> Result<RunTrace, ScenarioError> {
+    scenario.validate()?;
     let max_window = scenario.max_window;
     let mut sink = TraceSink::for_scenario(&scenario);
     try_run_scenario_with(scenario, &mut sink)?;
@@ -660,8 +630,8 @@ pub fn try_run_scenario(scenario: Scenario) -> Result<RunTrace, ScenarioError> {
     Ok(trace)
 }
 
-/// Evaluation parameters for the streaming path — the knobs the axiom
-/// evaluators take as arguments on the trace path.
+/// Evaluation parameters for a [`MetricAccumulator`]: tail fraction,
+/// fast-utilization horizon, escape threshold and metric families.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamOptions {
     /// Fraction of the run treated as transient (`RunTrace::tail_start`).
@@ -690,7 +660,7 @@ impl Default for StreamOptions {
 }
 
 /// The [`MetricAccumulator`] matching `scenario`'s shape: same link, step
-/// count and per-sender `loss_based` flags the trace path would record.
+/// count and per-sender `loss_based` flags a recorded trace would carry.
 pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> MetricAccumulator {
     MetricAccumulator::new(&MetricConfig {
         link: scenario.link,
@@ -709,8 +679,8 @@ pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> M
 
 /// Run a scenario through the trace-free streaming path, returning the
 /// populated accumulator. Bit-identical to running [`try_run_scenario`]
-/// and evaluating the axioms on the trace, without the O(steps × senders)
-/// trace allocation.
+/// and replaying the trace through the accumulator, without the
+/// O(steps × senders) trace allocation.
 pub fn try_run_scenario_streaming(
     scenario: Scenario,
     options: &StreamOptions,
@@ -720,16 +690,15 @@ pub fn try_run_scenario_streaming(
     Ok(acc)
 }
 
-/// Like [`try_run_scenario_streaming`], but reusing a caller-held
-/// accumulator (reset first) so sweep jobs running many same-shape
-/// scenarios allocate it once. The accumulator must have been built for
-/// this scenario's shape (same sender count and step count).
-pub fn try_run_scenario_streaming_into(
+/// Like [`try_run_scenario_streaming`], but into a caller-held
+/// accumulator (reset first) — a [`MetricAccumulator`] reused across
+/// same-shape scenarios so sweep jobs allocate it once, or a
+/// [`ChurnAccumulator`]. The accumulator must have been built for this
+/// scenario's shape (same sender count and step count).
+pub fn try_run_scenario_streaming_into<A: Accumulator + StepSink>(
     scenario: Scenario,
-    acc: &mut MetricAccumulator,
+    acc: &mut A,
 ) -> Result<(), ScenarioError> {
-    debug_assert_eq!(acc.num_senders(), scenario.senders.len());
-    debug_assert_eq!(acc.steps_expected(), scenario.steps);
     acc.reset();
     let (steps, n) = (scenario.steps, scenario.senders.len());
     try_run_scenario_with(scenario, acc)?;
@@ -768,7 +737,7 @@ pub fn run_scenario_streaming(scenario: Scenario, options: &StreamOptions) -> Me
 /// # Panics
 ///
 /// Panics on an invalid scenario or a numerically divergent run.
-pub fn run_scenario_streaming_into(scenario: Scenario, acc: &mut MetricAccumulator) {
+pub fn run_scenario_streaming_into<A: Accumulator + StepSink>(scenario: Scenario, acc: &mut A) {
     // tidy-allow: panic-freedom — documented panicking façade over try_run_scenario_streaming_into; fallible callers use the try_ path
     try_run_scenario_streaming_into(scenario, acc).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -789,8 +758,7 @@ mod tests {
     /// A verbatim copy of the pre-SoA scalar engine: per-step admission,
     /// departure and bandwidth scans, array-of-records emission, one
     /// `on_step` per step. This is the bit-identity reference the lane
-    /// engine is pinned against ([`MathMode::Exact`] only — the reference
-    /// predates `Fast`).
+    /// engine is pinned against.
     fn run_reference<S: StepSink>(scenario: Scenario, sink: &mut S) -> Result<(), ScenarioError> {
         scenario.validate()?;
         let Scenario {
@@ -802,7 +770,6 @@ mod tests {
             seed,
             bandwidth_changes,
             feedback,
-            math: _,
         } = scenario;
 
         let mut active_link = link;
@@ -1622,6 +1589,14 @@ mod tests {
     }
 
     #[test]
+    fn invalid_scenarios_fail_before_reserving_trace_columns() {
+        // A 2^40-step trace would reserve 8 TiB per column; the missing
+        // sender must be reported before any column is allocated.
+        let err = Scenario::new(link()).steps(1 << 40).try_run().unwrap_err();
+        assert_eq!(err, ScenarioError::NoSenders);
+    }
+
+    #[test]
     fn streaming_propagates_divergence_errors() {
         let scenario = Scenario::new(link())
             .sender(SenderConfig::new(Box::new(DivergeAfter {
@@ -1754,29 +1729,6 @@ mod tests {
                 .unwrap();
             assert_eq!(with_shared.into_trace(), with_fresh.into_trace());
         }
-    }
-
-    #[test]
-    fn fast_math_stays_close_to_exact() {
-        // Fast mode licenses reassociation, not different math: scores
-        // track the exact path to ~1e-9 relative on a well-conditioned
-        // run (bit-identity is deliberately NOT asserted).
-        let build = |mode| {
-            Scenario::new(link())
-                .homogeneous(&Aimd::reno(), 5, 1.0)
-                .math(mode)
-                .steps(2000)
-        };
-        let exact = build(MathMode::Exact).try_run().unwrap();
-        let fast = build(MathMode::Fast).try_run().unwrap();
-        assert_eq!(exact.len(), fast.len());
-        for (a, b) in exact.total_window.iter().zip(&fast.total_window) {
-            assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{a} vs {b}");
-        }
-        let tail = exact.tail_start(0.5);
-        let ea = axcc_core::axioms::efficiency::measured_efficiency(&exact, tail);
-        let eb = axcc_core::axioms::efficiency::measured_efficiency(&fast, tail);
-        assert!((ea - eb).abs() < 1e-6, "{ea} vs {eb}");
     }
 
     mod equivalence {

@@ -23,8 +23,9 @@
 //!   every axiom evaluator in `axcc-core` / `axcc-analysis`;
 //! * **streaming evaluation** — the same loop can instead drive a
 //!   [`MetricAccumulator`] ([`try_run_scenario_streaming`]), folding each
-//!   step straight into the axiom scores in O(senders) memory with
-//!   bit-identical results; [`try_run_scenario_with`] exposes the
+//!   step straight into the axiom scores in O(senders) memory; a recorded
+//!   trace scores by replaying it through the same accumulator, so the
+//!   results are bit-identical; [`try_run_scenario_with`] exposes the
 //!   underlying [`StepSink`] visitor for custom consumers;
 //! * **flow churn** — sender populations can grow and shrink mid-run:
 //!   every sender has an optional stop step, and [`Scenario::churn`] /
@@ -72,10 +73,10 @@ pub use engine::{
 };
 pub use loss::{LossModel, LossProcess};
 pub use network::{FlowConfig, NetScenario, NetTrace, Topology};
-pub use scenario::{FeedbackMode, MathMode, Scenario, SenderConfig};
+pub use scenario::{FeedbackMode, Scenario, SenderConfig};
 
 pub use axcc_core::axioms::streaming::{
-    MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
+    Accumulator, MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepColumns, StepRecord,
 };
 pub use axcc_core::{LinkParams, RunTrace, ScenarioError, SenderTrace};
 pub use axcc_topo::{ChurnPlan, FlowInterval, OnOffPhases};

@@ -69,25 +69,6 @@ pub enum FeedbackMode {
     PerPacket,
 }
 
-/// Floating-point contract for the engine's reductions.
-///
-/// [`Exact`](MathMode::Exact) (the default) pins every f64 reduction to
-/// the historical scalar order — the total window is a strict
-/// left-to-right `iter().sum()` and goodput is `w * (1 - l) / rtt` — so
-/// runs are bit-identical to the pre-SoA engine and to the streaming
-/// bit-identity contract. [`Fast`](MathMode::Fast) (the CLI's
-/// `--fast-math`) licenses reassociation where the paper does not need
-/// bit-identity: the total becomes a four-accumulator chunked sum and
-/// goodput uses `mul_add` — same math, different rounding, vectorizable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MathMode {
-    /// Strict scalar f64 ordering — bit-identical to the reference engine.
-    #[default]
-    Exact,
-    /// Reassociated reductions (`--fast-math`): chunked sums + `mul_add`.
-    Fast,
-}
-
 /// A complete simulation scenario. Build with the fluent methods, then
 /// [`run`](Scenario::run) (panics on invalid configuration) or
 /// [`try_run`](Scenario::try_run) (returns [`ScenarioError`]).
@@ -105,7 +86,6 @@ pub struct Scenario {
     /// applied at the *start* of the given step. Kept sorted by step.
     pub(crate) bandwidth_changes: Vec<(u64, f64)>,
     pub(crate) feedback: FeedbackMode,
-    pub(crate) math: MathMode,
 }
 
 impl Scenario {
@@ -121,7 +101,6 @@ impl Scenario {
             seed: 0,
             bandwidth_changes: Vec::new(),
             feedback: FeedbackMode::Synchronized,
-            math: MathMode::Exact,
         }
     }
 
@@ -195,14 +174,6 @@ impl Scenario {
         let nominal = self.link.bandwidth;
         self.bandwidth_change(from_step, nominal * 1e-6)
             .bandwidth_change(to_step, nominal)
-    }
-
-    /// Select the floating-point contract (default: [`MathMode::Exact`],
-    /// the bit-identity contract; [`MathMode::Fast`] is the CLI's
-    /// `--fast-math`).
-    pub fn math(mut self, mode: MathMode) -> Self {
-        self.math = mode;
-        self
     }
 
     /// Select the congestion-feedback mode (default:

@@ -1,8 +1,12 @@
-//! Property test for the tentpole invariant of the streaming engine path:
-//! for *arbitrary* scenarios — protocol mixes, links, staggered starts,
+//! Property test for the record-and-replay invariant of the engine: for
+//! *arbitrary* scenarios — protocol mixes, links, staggered starts,
 //! wire-loss models, bandwidth changes and feedback modes — the
-//! [`MetricAccumulator`] produced by the trace-free streaming run scores
-//! every axiom **bit-identically** to evaluating the recorded trace.
+//! [`MetricAccumulator`] fed block by block from the engine's hot loop
+//! scores every axiom **bit-identically** to the trace scorers, which
+//! replay the recorded run through the same accumulator in one pass. It
+//! pins the trace recording and the engine's block staging; the
+//! accumulators themselves are checked against the loop-based oracle in
+//! `axcc-core`.
 //!
 //! The unit tests in `engine.rs` pin a handful of hand-picked scenarios;
 //! this test quantifies over the scenario space.

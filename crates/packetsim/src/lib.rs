@@ -75,3 +75,5 @@ pub use red::{Red, RedConfig, RedVerdict};
 pub use sender::{SendMode, Sender};
 pub use stats::{FlowStats, QueueStats};
 pub use time::Time;
+
+pub use axcc_core::{LinkParams, RunTrace};

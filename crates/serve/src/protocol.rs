@@ -392,6 +392,16 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_a_bad_request() {
+        // 10,000 nested arrays would overflow a connection thread's stack
+        // in a parser without a recursion limit.
+        let line = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+        let e = parse_request(&line).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadRequest);
+        assert!(e.message.contains("recursion limit"), "{}", e.message);
+    }
+
+    #[test]
     fn id_is_salvaged_from_malformed_requests() {
         let e = parse_request(r#"{"id": 7, "op": "no-such-op"}"#).unwrap_err();
         assert_eq!(e.id.as_u64(), Some(7));

@@ -10,11 +10,16 @@
 //! cargo run --release --example friendliness_duel
 //! ```
 
-use axiomatic_cc::analysis::estimators::{measure_friendliness_fluid, measure_friendliness_packet};
+use axiomatic_cc::analysis::estimators::{
+    measure_friendliness_fluid, measure_friendliness_packet, EvalMode,
+};
 use axiomatic_cc::core::theory::theorems::theorem2_friendliness_upper_bound;
 use axiomatic_cc::core::units::Bandwidth;
 use axiomatic_cc::core::{LinkParams, Protocol};
 use axiomatic_cc::protocols::{Aimd, Binomial, Cubic, Mimd, Pcc, RobustAimd};
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn main() {
     let link = LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 100.0);
@@ -49,8 +54,16 @@ fn main() {
     );
     println!("{}", "-".repeat(67));
     for (challenger, bound) in challengers {
-        let fluid =
-            measure_friendliness_fluid(challenger.as_ref(), &reno, link, 1, 1, 4000, &[(1.0, 1.0)]);
+        let fluid = measure_friendliness_fluid(
+            challenger.as_ref(),
+            &reno,
+            link,
+            1,
+            1,
+            4000,
+            &[(1.0, 1.0)],
+            STREAMING,
+        );
         let packet = measure_friendliness_packet(challenger.as_ref(), &reno, link, 1, 1, 40.0, 0);
         println!(
             "{:<22} {:>12.3} {:>13.3} {:>16}",

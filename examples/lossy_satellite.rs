@@ -15,11 +15,14 @@
 //! cargo run --release --example lossy_satellite
 //! ```
 
-use axiomatic_cc::analysis::estimators::{measure_robustness_fluid, ROBUSTNESS_RATES};
+use axiomatic_cc::analysis::estimators::{measure_robustness_fluid, EvalMode, ROBUSTNESS_RATES};
 use axiomatic_cc::core::units::sec_to_ms;
 use axiomatic_cc::core::{LinkParams, Protocol};
 use axiomatic_cc::fluidsim::{LossModel, Scenario, SenderConfig};
 use axiomatic_cc::protocols::{Aimd, Cubic, Pcc, RobustAimd};
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn main() {
     // A 250 Mbps satellite-ish path, 300 ms RTT: C ≈ 6250 MSS — far more
@@ -58,7 +61,8 @@ fn main() {
             let goodput = trace.senders[0].mean_goodput_from(tail);
             cells.push(goodput / link.bandwidth); // fraction of link rate
         }
-        let robustness = measure_robustness_fluid(proto.as_ref(), &ROBUSTNESS_RATES, 3000);
+        let robustness =
+            measure_robustness_fluid(proto.as_ref(), &ROBUSTNESS_RATES, 3000, STREAMING);
         println!(
             "{:<20} {:>10.1}% {:>10.1}% {:>10.1}% {:>12.3}",
             proto.name(),

@@ -13,12 +13,15 @@
 //! cargo run --release --example pareto_explorer
 //! ```
 
-use axiomatic_cc::analysis::estimators::empirical_scores_fluid;
+use axiomatic_cc::analysis::estimators::{empirical_scores_fluid, EvalMode};
 use axiomatic_cc::analysis::experiments::figure1::frontier_surface;
 use axiomatic_cc::analysis::pareto::{pareto_front, ScoredPoint, FIGURE1_METRICS};
 use axiomatic_cc::core::axioms::Metric;
 use axiomatic_cc::core::{LinkParams, Protocol};
 use axiomatic_cc::protocols::{Aimd, Cubic, Mimd, RobustAimd};
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn main() {
     // (1) The analytic frontier.
@@ -49,7 +52,7 @@ fn main() {
     println!("measured protocols vs the AIMD surface (fast-util × efficiency × friendliness):");
     let mut measured_points = Vec::new();
     for proto in &lineup {
-        let scores = empirical_scores_fluid(proto.as_ref(), link, 2, 2500);
+        let scores = empirical_scores_fluid(proto.as_ref(), link, 2, 2500, STREAMING);
         let dominated = surface
             .iter()
             .any(|s| s.scores.dominates_in(&scores, &FIGURE1_METRICS));

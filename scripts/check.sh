@@ -20,6 +20,11 @@ echo "==> axcc run-all --jobs 2 --smoke (full suite through the sweep engine)"
 cargo run -q -p axcc-cli -- run-all --jobs 2 --smoke \
   --cache-dir target/sweep-cache-ci --out-dir target/run-all-ci
 
+echo "==> run-all --smoke stdout is deterministic (--jobs 1 vs --jobs 2)"
+cargo run -q -p axcc-cli -- run-all --jobs 1 --smoke --no-cache > target/run-all-jobs1.txt
+cargo run -q -p axcc-cli -- run-all --jobs 2 --smoke --no-cache > target/run-all-jobs2.txt
+diff target/run-all-jobs1.txt target/run-all-jobs2.txt
+
 echo "==> axcc sweep --only churn --smoke (flow churn: both engines, streaming path)"
 cargo run -q -p axcc-cli -- sweep --only churn --smoke --jobs 2 \
   --cache-dir target/sweep-cache-ci > /dev/null

@@ -6,11 +6,14 @@
 
 use axiomatic_cc::analysis::estimators::{
     measure_friendliness_fluid, measure_friendliness_packet, measure_solo_fluid,
-    measure_solo_packet, SweepConfig,
+    measure_solo_packet, EvalMode, SweepConfig,
 };
 use axiomatic_cc::core::units::Bandwidth;
 use axiomatic_cc::core::LinkParams;
 use axiomatic_cc::protocols::{Aimd, Pcc, RobustAimd, SlowStart};
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 fn paper_link() -> LinkParams {
     LinkParams::from_experiment(Bandwidth::Mbps(20.0), 42.0, 100.0)
@@ -20,7 +23,11 @@ fn paper_link() -> LinkParams {
 #[test]
 fn reno_pair_agrees_across_backends() {
     let link = paper_link();
-    let fluid = measure_solo_fluid(&Aimd::reno(), &SweepConfig::standard(link, 2, 3000));
+    let fluid = measure_solo_fluid(
+        &Aimd::reno(),
+        &SweepConfig::standard(link, 2, 3000),
+        STREAMING,
+    );
     let packet = measure_solo_packet(
         &SlowStart::new(Box::new(Aimd::reno()), f64::INFINITY),
         link,
@@ -50,8 +57,8 @@ fn friendliness_ordering_agrees_across_backends() {
     let robust = RobustAimd::table2();
     let pairs = [(1.0, 1.0)];
 
-    let fluid_pcc = measure_friendliness_fluid(&pcc, &reno, link, 1, 1, 3000, &pairs);
-    let fluid_rob = measure_friendliness_fluid(&robust, &reno, link, 1, 1, 3000, &pairs);
+    let fluid_pcc = measure_friendliness_fluid(&pcc, &reno, link, 1, 1, 3000, &pairs, STREAMING);
+    let fluid_rob = measure_friendliness_fluid(&robust, &reno, link, 1, 1, 3000, &pairs, STREAMING);
     let packet_pcc = measure_friendliness_packet(&pcc, &reno, link, 1, 1, 40.0, 0);
     let packet_rob = measure_friendliness_packet(&robust, &reno, link, 1, 1, 40.0, 0);
 

@@ -5,7 +5,7 @@
 
 #![allow(clippy::float_cmp)] // exact comparisons are deliberate in tests
 use axiomatic_cc::analysis::estimators::{
-    measure_friendliness_fluid, measure_robustness_fluid, ROBUSTNESS_RATES,
+    measure_friendliness_fluid, measure_robustness_fluid, EvalMode, ROBUSTNESS_RATES,
 };
 use axiomatic_cc::analysis::experiments::figure1::frontier_surface;
 use axiomatic_cc::analysis::experiments::table1::theoretical_table1;
@@ -15,6 +15,9 @@ use axiomatic_cc::core::theory::ProtocolSpec;
 use axiomatic_cc::core::units::Bandwidth;
 use axiomatic_cc::core::LinkParams;
 use axiomatic_cc::protocols::{Aimd, Pcc, RobustAimd};
+
+/// Every estimate here streams; the evaluation mode does not change scores.
+const STREAMING: EvalMode = EvalMode::Streaming;
 
 /// Table 1, worst-case column, exactly as printed in the paper (up to the
 /// documented MIMD loss-cell convention normalization).
@@ -61,8 +64,17 @@ fn table2_robust_aimd_beats_pcc() {
     let link = LinkParams::from_experiment(Bandwidth::Mbps(30.0), TABLE2_RTT_MS, TABLE2_BUFFER_MSS);
     let reno = Aimd::reno();
     let pairs = [(1.0, 1.0)];
-    let f_r = measure_friendliness_fluid(&RobustAimd::table2(), &reno, link, 1, 1, 3000, &pairs);
-    let f_p = measure_friendliness_fluid(&Pcc::new(), &reno, link, 1, 1, 3000, &pairs);
+    let f_r = measure_friendliness_fluid(
+        &RobustAimd::table2(),
+        &reno,
+        link,
+        1,
+        1,
+        3000,
+        &pairs,
+        STREAMING,
+    );
+    let f_p = measure_friendliness_fluid(&Pcc::new(), &reno, link, 1, 1, 3000, &pairs, STREAMING);
     assert!(f_r > f_p, "R-AIMD {f_r} must beat PCC {f_p}");
     // The paper reports >1.5x in every cell; at this budget demand >1.2x.
     assert!(f_r / f_p > 1.2, "improvement {:.2}x", f_r / f_p);
@@ -76,8 +88,8 @@ fn robust_aimd_friendliness_monotone_in_connections() {
     let reno = Aimd::reno();
     let robust = RobustAimd::table2();
     let pairs = [(1.0, 1.0)];
-    let f1 = measure_friendliness_fluid(&robust, &reno, link, 1, 1, 3000, &pairs);
-    let f3 = measure_friendliness_fluid(&robust, &reno, link, 3, 1, 3000, &pairs);
+    let f1 = measure_friendliness_fluid(&robust, &reno, link, 1, 1, 3000, &pairs, STREAMING);
+    let f3 = measure_friendliness_fluid(&robust, &reno, link, 3, 1, 3000, &pairs, STREAMING);
     assert!(
         f3 > f1,
         "friendliness should improve with more R-AIMD senders: 1→{f1}, 3→{f3}"
@@ -112,7 +124,12 @@ fn all_theorem_checks_pass() {
 fn robustness_tracks_epsilon() {
     let mut last = 0.0;
     for eps in [0.005, 0.007, 0.01] {
-        let r = measure_robustness_fluid(&RobustAimd::new(1.0, 0.8, eps), &ROBUSTNESS_RATES, 1200);
+        let r = measure_robustness_fluid(
+            &RobustAimd::new(1.0, 0.8, eps),
+            &ROBUSTNESS_RATES,
+            1200,
+            STREAMING,
+        );
         assert!(r > 0.0, "ε={eps} must be robust");
         assert!(r < eps, "measured robustness {r} must stay below ε={eps}");
         assert!(r >= last, "robustness must not decrease with ε");
@@ -120,7 +137,7 @@ fn robustness_tracks_epsilon() {
     }
     // And Reno is 0-robust.
     assert_eq!(
-        measure_robustness_fluid(&Aimd::reno(), &ROBUSTNESS_RATES, 1200),
+        measure_robustness_fluid(&Aimd::reno(), &ROBUSTNESS_RATES, 1200, STREAMING),
         0.0
     );
 }
