@@ -320,7 +320,7 @@ impl SweepJob for SideEffectJob {
 }
 
 /// Long-flow goodput share on the parking lot: long / mean(short). The
-/// network engine always records traces, so the score is
+/// network façade always records traces, so the score is
 /// evaluation-mode independent by construction (and the job fingerprint
 /// carries no mode).
 fn parking_lot_ratio(proto: &dyn Protocol, steps: usize) -> f64 {

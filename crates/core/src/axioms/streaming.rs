@@ -75,14 +75,16 @@ pub struct StepColumns<'a> {
 #[derive(Debug, Clone, Copy)]
 enum SenderColumns<'a> {
     /// A [`StepBlock`]'s sender-major staging: sender `i`'s rows start at
-    /// `i * stride`. Every sender's RTT is the shared column, as in the
-    /// synchronized fluid model.
+    /// `i * stride`. Sender RTTs are staged per sender on a multi-link
+    /// topology and are the shared column otherwise (`rtts` empty), as in
+    /// the synchronized single-link fluid model.
     Staged {
         n: usize,
         stride: usize,
         windows: &'a [f64],
         losses: &'a [f64],
         goodputs: &'a [f64],
+        rtts: &'a [f64],
     },
     /// A recorded trace's per-sender columns; a sender's RTT is its own
     /// column when it recorded one (packet-level and multi-hop runs).
@@ -173,6 +175,9 @@ impl<'a> StepColumns<'a> {
     /// shared link column.
     pub fn sender_rtts(&self, i: usize) -> &'a [f64] {
         match self.senders {
+            SenderColumns::Staged { stride, rtts, .. } if !rtts.is_empty() => {
+                &rtts[i * stride..i * stride + self.len()]
+            }
             SenderColumns::Staged { .. } => self.rtts,
             SenderColumns::Recorded(s) => s[i].rtt.as_deref().unwrap_or(self.rtts),
         }
@@ -205,8 +210,11 @@ pub trait Accumulator {
 /// the trace sink extends from.
 ///
 /// [`record`](StepBlock::record) reconstructs the [`StepRecord`] a row
-/// holds for one sender (idle senders hold staged zeros; every sender's
-/// RTT is the shared column, as in the synchronized fluid model).
+/// holds for one sender (idle senders hold staged zeros). On a single link
+/// every sender's RTT is the shared column, as in the synchronized fluid
+/// model; a multi-link engine calls
+/// [`track_sender_rtts`](StepBlock::track_sender_rtts) and stages each
+/// sender's path RTT as well.
 #[derive(Debug, Clone, Default)]
 pub struct StepBlock {
     n: usize,
@@ -219,6 +227,9 @@ pub struct StepBlock {
     windows: Vec<f64>,
     losses: Vec<f64>,
     goodputs: Vec<f64>,
+    /// Per-sender RTT rows, sender-major like `windows`; empty unless
+    /// [`track_sender_rtts`](StepBlock::track_sender_rtts) was called.
+    sender_rtts: Vec<f64>,
 }
 
 fn resize_zeroed(v: &mut Vec<f64>, len: usize) {
@@ -253,6 +264,15 @@ impl StepBlock {
         resize_zeroed(&mut self.windows, n * self.cap);
         resize_zeroed(&mut self.losses, n * self.cap);
         resize_zeroed(&mut self.goodputs, n * self.cap);
+        self.sender_rtts.clear();
+    }
+
+    /// Give every sender its own RTT column until the next
+    /// [`reshape`](StepBlock::reshape): multi-link runs, where paths give
+    /// senders different RTTs, stage each with
+    /// [`stage_sender_rtt`](StepBlock::stage_sender_rtt).
+    pub fn track_sender_rtts(&mut self) {
+        resize_zeroed(&mut self.sender_rtts, self.n * self.cap);
     }
 
     /// Start a new (empty) block whose first row is absolute step `start`.
@@ -287,6 +307,13 @@ impl StepBlock {
         self.windows[at] = window;
         self.losses[at] = loss;
         self.goodputs[at] = goodput;
+    }
+
+    /// Stage sender `i`'s own RTT for the current row (only after
+    /// [`track_sender_rtts`](StepBlock::track_sender_rtts)).
+    #[inline]
+    pub fn stage_sender_rtt(&mut self, i: usize, rtt: f64) {
+        self.sender_rtts[i * self.cap + self.len] = rtt;
     }
 
     /// Commit the current row; returns `true` when the block is full —
@@ -335,6 +362,7 @@ impl StepBlock {
                 windows: &self.windows,
                 losses: &self.losses,
                 goodputs: &self.goodputs,
+                rtts: &self.sender_rtts,
             },
         }
     }
@@ -375,7 +403,7 @@ impl StepBlock {
         StepRecord {
             window: self.windows[at],
             loss: self.losses[at],
-            rtt: self.rtts[k],
+            rtt: self.sender_rtts.get(at).copied().unwrap_or(self.rtts[k]),
             goodput: self.goodputs[at],
         }
     }

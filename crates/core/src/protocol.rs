@@ -51,8 +51,10 @@ impl Observation {
 
 /// One step's observations for *all* senders, laid out as contiguous
 /// per-field lanes (the engine's struct-of-arrays hot-path view). The
-/// shared link RTT is a scalar because every sender on a single link sees
-/// the same RTT; per-sender fields index by sender.
+/// RTT is a scalar because every sender on a single link sees the same
+/// RTT (on a multi-link topology the engine sets it to each sender's own
+/// path RTT before asking that sender); per-sender fields index by
+/// sender.
 ///
 /// [`Protocol::next_window_lane`] receives this view so simple protocols
 /// can read straight from the lanes without materializing an
@@ -62,7 +64,8 @@ impl Observation {
 pub struct LaneObs<'a> {
     /// Index of the time step that just elapsed.
     pub tick: u64,
-    /// Duration of the step, `RTT(t)`, in seconds — shared by all senders.
+    /// Duration of the step, `RTT(t)`, in seconds — shared by all senders
+    /// on a single link; the asked sender's path RTT on a topology.
     pub rtt: RttSeconds,
     /// Per-sender congestion windows `x_i^(t)` during the step, in MSS.
     pub windows: &'a [f64],

@@ -12,14 +12,15 @@
 //!   Scoring a recorded trace replays its columns through the same
 //!   accumulator, so the two agree to the bit.
 
-use crate::loss::{compose_loss, sample_loss_fraction, LossModel, LossProcess};
-use crate::scenario::{FeedbackMode, Scenario};
+use crate::loss::{compose_loss, compose_path_loss, sample_loss_fraction, LossModel, LossProcess};
+use crate::scenario::{FeedbackMode, Scenario, SenderConfig};
 use axcc_core::axioms::churn::ChurnAccumulator;
 use axcc_core::axioms::streaming::{
     Accumulator, MetricAccumulator, MetricConfig, MetricSet, StepBlock, StepRecord,
 };
 use axcc_core::protocol::clamp_window;
-use axcc_core::{LaneObs, RunTrace, ScenarioError, SenderTrace};
+use axcc_core::{LaneObs, LinkParams, RunTrace, ScenarioError, SenderTrace};
+use axcc_topo::Topology;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
@@ -30,8 +31,10 @@ use std::cell::RefCell;
 /// values the trace path would append to that sender's columns (idle
 /// senders appear with zero window and goodput so consumers see a
 /// rectangular run). `total`, `rtt` and `loss` are the shared link-state
-/// columns. The slice is a buffer reused across steps — sinks must copy
-/// what they keep.
+/// columns: the link's on a single link, link 0's on a multi-link
+/// topology, where each record's `rtt` is the sender's own path RTT. The
+/// slice is a buffer reused across steps — sinks must copy what they
+/// keep.
 pub trait StepSink {
     /// Consume step `t`.
     fn on_step(&mut self, t: u64, total: f64, rtt: f64, loss: f64, records: &[StepRecord]);
@@ -76,31 +79,33 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// A sink sized for `scenario`, capturing the metadata (link, seed,
-    /// protocol names) the finished trace records.
+    /// protocol names) the finished trace records. On a multi-link
+    /// topology every sender also records its own RTT column.
     pub fn for_scenario(scenario: &Scenario) -> Self {
+        let own_rtts = scenario.topology.num_links() > 1;
+        let steps = scenario.steps;
         TraceSink {
-            link: scenario.link,
+            link: scenario.link(),
             seed: scenario.seed,
             senders: scenario
                 .senders
                 .iter()
-                .map(|s| {
-                    SenderTrace::with_capacity(
-                        s.protocol.name(),
-                        s.protocol.loss_based(),
-                        scenario.steps,
-                    )
+                .map(|s| SenderTrace {
+                    rtt: own_rtts.then(|| Vec::with_capacity(steps)),
+                    ..SenderTrace::with_capacity(s.protocol.name(), s.protocol.loss_based(), steps)
                 })
                 .collect(),
-            total_col: Vec::with_capacity(scenario.steps),
-            rtt_col: Vec::with_capacity(scenario.steps),
-            loss_col: Vec::with_capacity(scenario.steps),
+            total_col: Vec::with_capacity(steps),
+            rtt_col: Vec::with_capacity(steps),
+            loss_col: Vec::with_capacity(steps),
         }
     }
 
-    /// The finished trace. Per-sender RTT columns stay `None`: in the
-    /// synchronized fluid model every sender's RTT equals the shared link
-    /// column, which [`RunTrace::sender_rtt`] resolves on read.
+    /// The finished trace. On a single link per-sender RTT columns stay
+    /// `None`: in the synchronized fluid model every sender's RTT equals
+    /// the shared link column, which [`RunTrace::sender_rtt`] resolves on
+    /// read. On a multi-link topology the shared columns describe link 0
+    /// and each sender carries its own path-RTT column.
     pub fn into_trace(self) -> RunTrace {
         RunTrace {
             link: self.link,
@@ -122,11 +127,15 @@ impl StepSink for TraceSink {
             s.window.push(r.window);
             s.loss.push(r.loss);
             s.goodput.push(r.goodput);
+            if let Some(rtts) = &mut s.rtt {
+                rtts.push(r.rtt);
+            }
         }
     }
 
     // Column-to-column copies: the block already holds each sender's rows
-    // contiguously, so recording a block is six memcpy-shaped extends.
+    // contiguously, so recording a block is a run of memcpy-shaped
+    // extends.
     fn on_steps(&mut self, block: &StepBlock) {
         self.total_col.extend_from_slice(block.totals());
         self.rtt_col.extend_from_slice(block.rtts());
@@ -135,6 +144,9 @@ impl StepSink for TraceSink {
             s.window.extend_from_slice(block.windows(i));
             s.loss.extend_from_slice(block.sender_losses(i));
             s.goodput.extend_from_slice(block.goodputs(i));
+            if let Some(rtts) = &mut s.rtt {
+                rtts.extend_from_slice(block.columns().sender_rtts(i));
+            }
         }
     }
 }
@@ -195,6 +207,164 @@ struct SenderLanes {
     stopped: Vec<bool>,
 }
 
+/// How a step's link state reaches each sender: the paper's one shared
+/// link, or per-sender paths over a multi-link topology. The step loop is
+/// generic over it, so the choice is made once per run and the
+/// single-link instantiation is the paper's loop with its shared scalars.
+trait Links {
+    /// Whether this is the single-link model, whose one-sender fast path
+    /// the loop may take.
+    const ONE_LINK: bool;
+
+    /// Compute the step's state from the windows (`link` is the single
+    /// link as of this span) and stage the block's shared columns.
+    fn observe(&mut self, link: &LinkParams, windows: &[f64], block: &mut StepBlock);
+
+    /// Sender `i`'s RTT this step.
+    fn rtt(&self, i: usize) -> f64;
+
+    /// The congestion loss rate sender `i` is exposed to this step.
+    fn congestion(&self, i: usize) -> f64;
+
+    /// Sender `i`'s congestion loss composed with wire loss `wire`.
+    fn loss(&self, i: usize, wire: f64) -> f64;
+}
+
+/// The single link: one RTT and one congestion loss shared by every
+/// sender (synchronized feedback).
+#[derive(Default)]
+struct OneLink {
+    rtt: f64,
+    congestion: f64,
+}
+
+impl Links for OneLink {
+    const ONE_LINK: bool = true;
+
+    fn observe(&mut self, link: &LinkParams, windows: &[f64], block: &mut StepBlock) {
+        // Idle senders hold exactly 0.0, and adding +0.0 to a
+        // non-negative partial sum is exact, so summing every slot is
+        // bit-identical to filtering on the active set. (A
+        // delta-incremental running total is deliberately NOT used: f64
+        // addition is non-associative, so incremental updates would drift
+        // from the recorded column and break the streaming path's
+        // bit-identity contract.)
+        let total = windows.iter().sum();
+        self.rtt = link.rtt(total);
+        self.congestion = link.loss_rate(total);
+        block.stage_shared(total, self.rtt, self.congestion);
+    }
+
+    fn rtt(&self, _i: usize) -> f64 {
+        self.rtt
+    }
+
+    fn congestion(&self, _i: usize) -> f64 {
+        self.congestion
+    }
+
+    fn loss(&self, _i: usize, wire: f64) -> f64 {
+        compose_loss(self.congestion, wire)
+    }
+}
+
+/// A multi-link topology: each sender's path as CSR link indices, plus
+/// the per-link lanes the path pass refills every step.
+#[derive(Debug, Default)]
+struct PathLanes {
+    links: Vec<LinkParams>,
+    /// Sender `i` crosses `path[offsets[i]..offsets[i + 1]]`, in order.
+    offsets: Vec<usize>,
+    path: Vec<usize>,
+    /// Per-sender propagation floor `Σ_{l ∈ path} 2Θ_l`, hoisted.
+    base_rtts: Vec<f64>,
+    /// Per-sender path RTT and congestion survival `Π (1 − L_l)`.
+    rtts: Vec<f64>,
+    keeps: Vec<f64>,
+    /// Per-link load `X_l`, loss `L_l(X_l)` and queueing delay
+    /// `rtt_l(X_l) − 2Θ_l`.
+    loads: Vec<f64>,
+    link_losses: Vec<f64>,
+    qdelays: Vec<f64>,
+}
+
+impl PathLanes {
+    fn prepare(&mut self, topology: &Topology, senders: &[SenderConfig]) {
+        self.links.clear();
+        self.links.extend_from_slice(topology.links());
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.path.clear();
+        self.base_rtts.clear();
+        for cfg in senders {
+            self.path.extend_from_slice(&cfg.path);
+            self.offsets.push(self.path.len());
+            self.base_rtts.push(topology.path_min_rtt(&cfg.path));
+        }
+        let (n, nl) = (senders.len(), self.links.len());
+        reset_lane(&mut self.rtts, n, 0.0);
+        reset_lane(&mut self.keeps, n, 1.0);
+        reset_lane(&mut self.loads, nl, 0.0);
+        reset_lane(&mut self.link_losses, nl, 0.0);
+        reset_lane(&mut self.qdelays, nl, 0.0);
+    }
+}
+
+impl Links for PathLanes {
+    const ONE_LINK: bool = false;
+
+    /// The path pass. Each link's load sums the windows crossing it in
+    /// sender order (idle senders hold exactly 0.0); a sender's RTT is its
+    /// hoisted floor plus the queueing delays along its path, and its
+    /// survival the product of `1 − L_l` along it. Idle senders get both
+    /// too (their RTT is recorded). The shared columns describe link 0.
+    fn observe(&mut self, _link: &LinkParams, windows: &[f64], block: &mut StepBlock) {
+        let PathLanes {
+            links,
+            offsets,
+            path,
+            base_rtts,
+            rtts,
+            keeps,
+            loads,
+            link_losses,
+            qdelays,
+        } = self;
+        let paths = || offsets.windows(2).map(|s| &path[s[0]..s[1]]);
+        loads.fill(0.0);
+        for (p, &w) in paths().zip(windows) {
+            for &l in p {
+                loads[l] += w;
+            }
+        }
+        for (l, link) in links.iter().enumerate() {
+            let rtt = link.rtt(loads[l]);
+            link_losses[l] = link.loss_rate(loads[l]);
+            qdelays[l] = rtt - link.min_rtt();
+            if l == 0 {
+                block.stage_shared(loads[0], rtt, link_losses[0]);
+            }
+        }
+        for (i, p) in paths().enumerate() {
+            rtts[i] = base_rtts[i] + p.iter().map(|&l| qdelays[l]).sum::<f64>();
+            keeps[i] = p.iter().map(|&l| 1.0 - link_losses[l]).product();
+            block.stage_sender_rtt(i, rtts[i]);
+        }
+    }
+
+    fn rtt(&self, i: usize) -> f64 {
+        self.rtts[i]
+    }
+
+    fn congestion(&self, i: usize) -> f64 {
+        1.0 - self.keeps[i]
+    }
+
+    fn loss(&self, i: usize, wire: f64) -> f64 {
+        compose_path_loss(self.keeps[i], wire)
+    }
+}
+
 fn reset_lane(v: &mut Vec<f64>, n: usize, x: f64) {
     v.clear();
     v.resize(n, x);
@@ -209,6 +379,8 @@ fn reset_lane(v: &mut Vec<f64>, n: usize, x: f64) {
 #[derive(Debug, Default)]
 pub struct EngineWorkspace {
     lanes: SenderLanes,
+    /// Path and per-link lanes, sized only by multi-link runs.
+    paths: PathLanes,
     /// Indices of currently-active senders, ascending — rebuilt at every
     /// activity boundary so the step loop iterates exactly the senders
     /// that matter without per-sender flag checks.
@@ -274,7 +446,9 @@ fn with_workspace<R>(f: impl FnOnce(&mut EngineWorkspace) -> R) -> R {
 ///    `SenderConfig::stop_at`);
 /// 2. the total active window `X^(t)` determines the step's RTT
 ///    (equation 1) and congestion loss rate (both shared by all senders —
-///    synchronized feedback);
+///    synchronized feedback); on a multi-link topology each link's load
+///    sets its delay and loss, and a sender's RTT and congestion loss
+///    compose along its path;
 /// 3. each active sender's wire loss is sampled and composed with the
 ///    congestion loss; the sender's protocol observes its window, composed
 ///    loss, RTT and running min-RTT, and selects the next window;
@@ -296,9 +470,17 @@ pub fn try_run_scenario_with<S: StepSink>(
 
 /// [`try_run_scenario_with`] against a caller-held [`EngineWorkspace`].
 ///
+/// This runs the fluid model's only step loop, for any topology. On a
+/// single link every sender shares one RTT and congestion loss per step
+/// (the paper's model); on several links a *path pass* first computes
+/// per-link loads and each sender's path RTT and congestion survival.
+/// Both then run the same loss, min-RTT, goodput, protocol-update and
+/// divergence passes; the choice is made once per run.
+///
 /// The hot path is organized around two refactors of the scalar loop,
 /// both bit-identity-preserving (the equivalence proptests pin the new
-/// engine to a verbatim copy of the scalar one):
+/// engine to verbatim copies of the scalar single-link and multi-link
+/// loops):
 ///
 /// * **activity spans** — admissions, departures and bandwidth changes
 ///   can only take effect at a precomputed set of boundary steps, so the
@@ -310,15 +492,35 @@ pub fn try_run_scenario_with<S: StepSink>(
 ///   rows are staged into a [`StepBlock`] delivered to the sink in
 ///   batches ([`StepSink::on_steps`]).
 ///
-/// Every f64 reduction keeps the scalar engine's exact evaluation order.
+/// Every f64 reduction keeps the scalar engines' exact evaluation order.
 pub fn try_run_scenario_with_workspace<S: StepSink>(
     scenario: Scenario,
     sink: &mut S,
     ws: &mut EngineWorkspace,
 ) -> Result<(), ScenarioError> {
     scenario.validate()?;
+    ws.prepare(scenario.senders.len());
+    if scenario.topology.num_links() == 1 {
+        return run(scenario, sink, ws, &mut OneLink::default());
+    }
+    ws.block.track_sender_rtts();
+    let mut paths = std::mem::take(&mut ws.paths);
+    paths.prepare(&scenario.topology, &scenario.senders);
+    let out = run(scenario, sink, ws, &mut paths);
+    ws.paths = paths;
+    out
+}
+
+/// The step loop of [`try_run_scenario_with_workspace`], over a validated
+/// scenario and a prepared workspace.
+fn run<S: StepSink, L: Links>(
+    scenario: Scenario,
+    sink: &mut S,
+    ws: &mut EngineWorkspace,
+    links: &mut L,
+) -> Result<(), ScenarioError> {
+    let link = scenario.link();
     let Scenario {
-        link,
         mut senders,
         steps,
         max_window,
@@ -326,6 +528,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         seed,
         bandwidth_changes,
         feedback,
+        ..
     } = scenario;
 
     let n = senders.len();
@@ -343,12 +546,12 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         _ => None,
     };
 
-    ws.prepare(n);
     let EngineWorkspace {
         lanes,
         active,
         boundaries,
         block,
+        ..
     } = ws;
     let SenderLanes {
         windows,
@@ -392,9 +595,10 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         .all(|s| s.start_tick == 0 && s.stop_tick.is_none());
 
     // The active link: bandwidth may change mid-run (an extension of the
-    // paper's static model; see `Scenario::bandwidth_change`). Propagation
-    // delay and buffer never change, so the trace's recorded link keeps
-    // the correct RTT floor for validation.
+    // paper's static model; see `Scenario::bandwidth_change`, which
+    // validation restricts to single-link topologies). Propagation delay
+    // and buffer never change, so the trace's recorded link keeps the
+    // correct RTT floor for validation.
     let mut active_link = link;
     let mut pending_changes = bandwidth_changes.iter().copied().peekable();
 
@@ -444,7 +648,7 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         let flat_link = (n as f64) * max_window * (1.0 + 1e-9) < active_link.capacity();
         let flat_rtt = active_link.min_rtt();
 
-        if n == 1 && dense {
+        if L::ONE_LINK && n == 1 && dense {
             // Single-lane fast path: the robustness-sweep shape (one
             // sender, staged every step). Statement-for-statement the
             // general body below with the lane sweeps collapsed to index
@@ -505,54 +709,47 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
         }
 
         for t in span_start..span_end {
-            // (2) shared link state. Idle senders hold exactly 0.0, and
-            // adding +0.0 to a non-negative partial sum is exact, so
-            // summing every slot is bit-identical to filtering on the
-            // active set. (A delta-incremental running total is
-            // deliberately NOT used: f64 addition is non-associative, so
-            // incremental updates would drift from the recorded column
-            // and break the streaming path's bit-identity contract.)
-            let total = windows.iter().sum();
-            let rtt = active_link.rtt(total);
-            let congestion_loss = active_link.loss_rate(total);
+            // (2) the step's link state: one shared RTT and congestion
+            // loss on a single link, the path pass on a topology.
+            links.observe(&active_link, windows, block);
 
             // (3) the loss pass.
             if let Some(wire) = uniform_wire {
-                let loss = compose_loss(congestion_loss, wire);
-                if dense {
-                    losses.fill(loss);
+                if L::ONE_LINK && dense {
+                    losses.fill(links.loss(0, wire));
                 } else {
                     for &i in active.iter() {
-                        losses[i] = loss;
+                        losses[i] = links.loss(i, wire);
                     }
                 }
             } else {
                 for &i in active.iter() {
                     let wire = wire_loss.sample(&mut rng, i, windows[i]);
-                    let observed = match feedback {
-                        FeedbackMode::Synchronized => congestion_loss,
+                    losses[i] = match feedback {
+                        FeedbackMode::Synchronized => links.loss(i, wire),
                         FeedbackMode::PerPacket => {
-                            sample_loss_fraction(&mut rng, windows[i], congestion_loss)
+                            let observed =
+                                sample_loss_fraction(&mut rng, windows[i], links.congestion(i));
+                            compose_loss(observed, wire)
                         }
                     };
-                    losses[i] = compose_loss(observed, wire);
                 }
             }
 
             // min-RTT and goodput passes over the lanes.
             if dense {
-                for m in min_rtts.iter_mut() {
-                    *m = m.min(rtt);
+                for (i, m) in min_rtts.iter_mut().enumerate() {
+                    *m = m.min(links.rtt(i));
                 }
                 for i in 0..n {
-                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
+                    goodputs[i] = windows[i] * (1.0 - losses[i]) / links.rtt(i);
                 }
             } else {
                 for &i in active.iter() {
-                    min_rtts[i] = min_rtts[i].min(rtt);
+                    min_rtts[i] = min_rtts[i].min(links.rtt(i));
                 }
                 for &i in active.iter() {
-                    goodputs[i] = windows[i] * (1.0 - losses[i]) / rtt;
+                    goodputs[i] = windows[i] * (1.0 - losses[i]) / links.rtt(i);
                 }
             }
 
@@ -560,7 +757,6 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
             // zeros (the block is zeroed between flushes when the
             // population churns), matching the scalar engine's explicit
             // zero records.
-            block.stage_shared(total, rtt, congestion_loss);
             if dense {
                 for i in 0..n {
                     block.stage_sender(i, windows[i], losses[i], goodputs[i]);
@@ -571,19 +767,21 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
                 }
             }
 
-            // (4) protocol updates straight off the lanes, then the
-            // divergence scan + clamp. The scan reports the lowest-index
-            // offender, exactly as the scalar engine's interleaved check
-            // did (protocol state past the offender differs, but an
-            // errored run's protocols and sink are both discarded).
-            let lane_obs = LaneObs {
+            // (4) protocol updates straight off the lanes, each sender
+            // observing its own RTT, then the divergence scan + clamp.
+            // The scan reports the lowest-index offender, exactly as the
+            // scalar engine's interleaved check did (protocol state past
+            // the offender differs, but an errored run's protocols and
+            // sink are both discarded).
+            let mut lane_obs = LaneObs {
                 tick: t,
-                rtt,
+                rtt: 0.0,
                 windows: &windows[..],
                 losses: &losses[..],
                 min_rtts: &min_rtts[..],
             };
             for &i in active.iter() {
+                lane_obs.rtt = links.rtt(i);
                 requests[i] = senders[i].protocol.next_window_lane(&lane_obs, i);
             }
             for &i in active.iter() {
@@ -623,10 +821,16 @@ pub fn try_run_scenario_with_workspace<S: StepSink>(
 pub fn try_run_scenario(scenario: Scenario) -> Result<RunTrace, ScenarioError> {
     scenario.validate()?;
     let max_window = scenario.max_window;
+    // `RunTrace::validate` checks the single-link identities (the total
+    // column sums every window, no RTT below the link's floor); a
+    // multi-link trace's shared columns describe link 0 only.
+    let single_link = scenario.topology.num_links() == 1;
     let mut sink = TraceSink::for_scenario(&scenario);
     try_run_scenario_with(scenario, &mut sink)?;
     let trace = sink.into_trace();
-    debug_assert_eq!(trace.validate(max_window), Ok(()));
+    if single_link {
+        debug_assert_eq!(trace.validate(max_window), Ok(()));
+    }
     Ok(trace)
 }
 
@@ -663,7 +867,7 @@ impl Default for StreamOptions {
 /// count and per-sender `loss_based` flags a recorded trace would carry.
 pub fn metric_accumulator_for(scenario: &Scenario, options: &StreamOptions) -> MetricAccumulator {
     MetricAccumulator::new(&MetricConfig {
-        link: scenario.link,
+        link: scenario.link(),
         steps: scenario.steps,
         loss_based: scenario
             .senders
@@ -746,8 +950,8 @@ pub fn run_scenario_streaming_into<A: Accumulator + StepSink>(scenario: Scenario
 mod tests {
     use super::*;
     use crate::loss::LossModel;
-    use crate::scenario::SenderConfig;
-    use axcc_core::{LinkParams, Observation};
+    use crate::network::{FlowConfig, NetScenario, NetTrace};
+    use axcc_core::Observation;
     use axcc_protocols::{Aimd, Mimd, RobustAimd, Vegas};
 
     /// C = 100 MSS, τ = 20 MSS.
@@ -761,8 +965,8 @@ mod tests {
     /// engine is pinned against.
     fn run_reference<S: StepSink>(scenario: Scenario, sink: &mut S) -> Result<(), ScenarioError> {
         scenario.validate()?;
+        let link = scenario.link();
         let Scenario {
-            link,
             mut senders,
             steps,
             max_window,
@@ -770,6 +974,7 @@ mod tests {
             seed,
             bandwidth_changes,
             feedback,
+            ..
         } = scenario;
 
         let mut active_link = link;
@@ -1513,6 +1718,27 @@ mod tests {
     }
 
     #[test]
+    fn multi_link_runs_take_wire_loss_and_per_packet_feedback() {
+        let build = |seed| {
+            Scenario::on(Topology::parking_lot(2, link()))
+                .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![0, 1]))
+                .sender(
+                    SenderConfig::new(Box::new(Vegas::classic()))
+                        .path(vec![1])
+                        .start_at(100)
+                        .stop_at(400),
+                )
+                .wire_loss(LossModel::Bernoulli { rate: 0.01 })
+                .feedback(FeedbackMode::PerPacket)
+                .seed(seed)
+                .steps(500)
+        };
+        assert_eq!(build(3).run(), build(3).run());
+        assert_ne!(build(3).run(), build(4).run());
+        assert_streaming_matches(|| build(3), StreamOptions::default());
+    }
+
+    #[test]
     fn churn_accumulator_streams_bit_identically_to_the_trace() {
         use axcc_core::axioms::churn::{self, ChurnAccumulator, ChurnConfig};
         let plan = axcc_topo::ChurnPlan::poisson(0.015, 150.0).seed(6);
@@ -1731,6 +1957,162 @@ mod tests {
         }
     }
 
+    /// The pre-unification multi-link engine, moved here verbatim (field
+    /// names aside) as the reference the unified loop is pinned against
+    /// on topologies of two or more hops. One hop is the single-link
+    /// model, pinned by `assert_one_hop_matches_single_link`.
+    fn run_network_reference(scenario: NetScenario) -> NetTrace {
+        let Scenario {
+            topology,
+            senders: mut flows,
+            steps,
+            max_window,
+            ..
+        } = scenario.0;
+        assert!(
+            !flows.is_empty(),
+            "network scenario needs at least one flow"
+        );
+
+        let nf = flows.len();
+        let nl = topology.num_links();
+        let mut windows: Vec<f64> = vec![0.0; nf];
+        let mut min_rtts = vec![f64::INFINITY; nf];
+
+        let mut traces: Vec<SenderTrace> = flows
+            .iter()
+            .map(|f| SenderTrace::with_capacity(f.protocol.name(), f.protocol.loss_based(), steps))
+            .collect();
+        let mut link_load = vec![Vec::with_capacity(steps); nl];
+        let mut link_loss = vec![Vec::with_capacity(steps); nl];
+
+        for t in 0..steps as u64 {
+            for (f, cfg) in flows.iter().enumerate() {
+                if t == cfg.start_tick {
+                    windows[f] = clamp_window(cfg.initial_window, max_window);
+                }
+                if cfg.stop_tick == Some(t) {
+                    windows[f] = 0.0;
+                }
+            }
+
+            let mut loads = vec![0.0; nl];
+            for (f, cfg) in flows.iter().enumerate() {
+                for &l in &cfg.path {
+                    loads[l] += windows[f];
+                }
+            }
+            let losses: Vec<f64> = (0..nl)
+                .map(|l| topology.link(l).loss_rate(loads[l]))
+                .collect();
+            let qdelays: Vec<f64> = (0..nl)
+                .map(|l| {
+                    let link = topology.link(l);
+                    link.rtt(loads[l]) - link.min_rtt()
+                })
+                .collect();
+            for l in 0..nl {
+                link_load[l].push(loads[l]);
+                link_loss[l].push(losses[l]);
+            }
+
+            for (f, cfg) in flows.iter_mut().enumerate() {
+                let base_rtt: f64 = cfg.path.iter().map(|&l| topology.link(l).min_rtt()).sum();
+                let rtt: f64 = base_rtt + cfg.path.iter().map(|&l| qdelays[l]).sum::<f64>();
+
+                let active = t >= cfg.start_tick && cfg.stop_tick.is_none_or(|s| t < s);
+                if !active {
+                    traces[f].window.push(0.0);
+                    traces[f].loss.push(0.0);
+                    traces[f].own_rtt_mut().push(rtt);
+                    traces[f].goodput.push(0.0);
+                    continue;
+                }
+
+                let loss = 1.0 - cfg.path.iter().map(|&l| 1.0 - losses[l]).product::<f64>();
+                min_rtts[f] = min_rtts[f].min(rtt);
+
+                let w = windows[f];
+                traces[f].window.push(w);
+                traces[f].loss.push(loss);
+                traces[f].own_rtt_mut().push(rtt);
+                traces[f].goodput.push(w * (1.0 - loss) / rtt);
+
+                let obs = Observation {
+                    tick: t,
+                    window: w,
+                    loss_rate: loss,
+                    rtt,
+                    min_rtt: min_rtts[f],
+                };
+                windows[f] = clamp_window(cfg.protocol.next_window(&obs), max_window);
+            }
+        }
+
+        NetTrace {
+            flows: traces,
+            paths: flows.iter().map(|f| f.path.clone()).collect(),
+            link_load,
+            link_loss,
+            topology_links: topology.links().to_vec(),
+        }
+    }
+
+    /// `FlowConfig` is deliberately not `Clone` (it owns a protocol box),
+    /// so equivalence checks build the scenario twice from a closure.
+    fn assert_network_engines_match(build: impl Fn() -> NetScenario) {
+        let unified = build().run();
+        let reference = run_network_reference(build());
+        assert_eq!(
+            unified, reference,
+            "unified engine diverged from the multi-link reference"
+        );
+    }
+
+    /// One hop runs the single-link body: the network trace must equal
+    /// the single-link scenario `single` bit for bit, per flow and on the
+    /// link.
+    fn assert_one_hop_matches_single_link(net: NetScenario, single: Scenario) {
+        let net = net.run();
+        let single = single.run();
+        assert_eq!(net.link_load[0], single.total_window);
+        assert_eq!(net.link_loss[0], single.loss);
+        for (f, s) in net.flows.iter().enumerate() {
+            assert_eq!(s.window, single.senders[f].window, "flow {f} window");
+            assert_eq!(s.loss, single.senders[f].loss, "flow {f} loss");
+            assert_eq!(s.goodput, single.senders[f].goodput, "flow {f} goodput");
+            assert_eq!(net.flow_rtt(f), single.sender_rtt(f), "flow {f} rtt");
+        }
+    }
+
+    #[test]
+    fn hoisted_engine_matches_reference_on_the_parking_lot() {
+        assert_network_engines_match(|| {
+            NetScenario::new(Topology::parking_lot(2, link()))
+                .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0, 1]))
+                .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0]))
+                .flow(FlowConfig::new(Box::new(Vegas::classic()), vec![1]))
+                .steps(2000)
+        });
+    }
+
+    #[test]
+    fn hoisted_engine_matches_reference_under_churn() {
+        assert_network_engines_match(|| {
+            let plan = axcc_topo::ChurnPlan::poisson(0.01, 150.0).seed(4);
+            NetScenario::new(Topology::parking_lot(3, link()))
+                .steps(1500)
+                .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0, 1, 2]))
+                .flow(
+                    FlowConfig::new(Box::new(Aimd::reno()), vec![1])
+                        .start_at(200)
+                        .stop_at(900),
+                )
+                .churn(&plan, &Aimd::reno(), vec![0, 1])
+                .unwrap()
+        });
+    }
+
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -1831,6 +2213,60 @@ mod tests {
             #[test]
             fn lane_engine_matches_scalar_reference(p in arb_params()) {
                 assert_engines_match(|| build(&p));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The unified engine on random parking lots — hop counts,
+            /// protocols, flow populations, activity windows — is
+            /// bit-identical to the multi-link reference on two or more
+            /// hops, and to the single-link scenario on one.
+            #[test]
+            fn hoisted_engine_matches_reference(
+                hops in 1usize..4,
+                steps in 50usize..400,
+                protos in proptest::collection::vec(0u8..2, 1..5),
+                initial in 0.5f64..40.0,
+                stagger in any::<bool>(),
+            ) {
+                // One long flow across every hop, then a short flow per
+                // remaining protocol, round-robin over links.
+                let senders = || {
+                    let mut out = vec![(
+                        SenderConfig::new(Box::new(Aimd::reno())).initial_window(initial),
+                        (0..hops).collect::<Vec<_>>(),
+                    )];
+                    for (k, &p) in protos.iter().enumerate() {
+                        let proto: Box<dyn axcc_core::Protocol> = match p {
+                            0 => Box::new(Aimd::reno()),
+                            _ => Box::new(Vegas::classic()),
+                        };
+                        let mut cfg = SenderConfig::new(proto).initial_window(initial + k as f64);
+                        if stagger && k % 2 == 1 {
+                            cfg = cfg
+                                .start_at(steps as u64 / 4)
+                                .stop_at((3 * steps as u64 / 4).max(steps as u64 / 4 + 1));
+                        }
+                        out.push((cfg, vec![k % hops]));
+                    }
+                    out
+                };
+                let net = || {
+                    senders().into_iter().fold(
+                        NetScenario::new(Topology::parking_lot(hops, link())).steps(steps),
+                        |sc, (cfg, path)| NetScenario(sc.0.sender(cfg.path(path))),
+                    )
+                };
+                if hops == 1 {
+                    let single = senders()
+                        .into_iter()
+                        .fold(Scenario::new(link()).steps(steps), |sc, (cfg, _)| sc.sender(cfg));
+                    assert_one_hop_matches_single_link(net(), single);
+                } else {
+                    assert_network_engines_match(net);
+                }
             }
         }
     }

@@ -27,6 +27,12 @@
 //!   trace scores by replaying it through the same accumulator, so the
 //!   results are bit-identical; [`try_run_scenario_with`] exposes the
 //!   underlying [`StepSink`] visitor for custom consumers;
+//! * **multi-link topologies** — [`Scenario::on`] runs any [`Topology`]
+//!   (§6's network-wide extension): each sender follows a path of links,
+//!   its RTT sums the per-link delays and its loss composes across the
+//!   path. A single link is the one-link case of the same step loop, so
+//!   multi-link runs stream, validate and sample wire loss like any other;
+//!   [`NetScenario`] records one per flow and per link ([`NetTrace`]);
 //! * **flow churn** — sender populations can grow and shrink mid-run:
 //!   every sender has an optional stop step, and [`Scenario::churn`] /
 //!   [`NetScenario::churn`] expand a deterministic seeded

@@ -213,7 +213,15 @@ impl LossProcess {
 /// exactly 1.0 in `f64`; the result is clamped back under 1 so traces
 /// always satisfy the `L ∈ [0, 1)` invariant.
 pub fn compose_loss(congestion: f64, wire: f64) -> f64 {
-    (1.0 - (1.0 - congestion) * (1.0 - wire)).min(1.0 - f64::EPSILON)
+    compose_path_loss(1.0 - congestion, wire)
+}
+
+/// [`compose_loss`] from a congestion *survival* probability `keep`: the
+/// loss of a sender whose packets survive congestion with probability
+/// `keep` — `Π_{l ∈ path} (1 − L_l)` on a multi-link path, `1 − L` on a
+/// single link — and are then dropped on the wire at rate `wire`.
+pub(crate) fn compose_path_loss(keep: f64, wire: f64) -> f64 {
+    (1.0 - keep * (1.0 - wire)).min(1.0 - f64::EPSILON)
 }
 
 /// Sample the loss *fraction* a window of `window` MSS experiences when

@@ -1,4 +1,4 @@
-//! Multi-link (network-wide) fluid dynamics — the §6 extension
+//! Multi-link (network-wide) scenarios — the §6 extension
 //! *"generalizing our model to capture network-wide protocol interaction"*.
 //!
 //! The single-bottleneck model of Section 2 generalizes naturally: a
@@ -12,6 +12,12 @@
 //!   queueing delays; its loss rate composes independently across links:
 //!   `L_f = 1 − Π_{l ∈ path(f)} (1 − L_l)`.
 //!
+//! There is one fluid step loop: a [`Scenario`] holds a [`Topology`],
+//! and a single link is the one-link case. The types here are a façade
+//! over it: [`NetScenario`] assembles a `Scenario` whose senders carry
+//! paths, and [`NetTrace`] records the run per flow and per link. The
+//! same scenario streams through any `StepSink` like a single-link one.
+//!
 //! Feedback stays synchronized (one global step), which is the direct
 //! generalization of the paper's model and keeps the dynamics
 //! deterministic. The classic testbed for this model is the **parking
@@ -20,122 +26,60 @@
 //! long flow less than the short flows — reproduced in this module's
 //! tests and the `parking_lot` example.
 
-use axcc_core::protocol::{clamp_window, MAX_WINDOW};
-use axcc_core::{LinkParams, Observation, Protocol, SenderTrace};
+use crate::scenario::{Scenario, SenderConfig};
+use axcc_core::{LinkParams, Protocol, ScenarioError, SenderTrace};
 
 pub use axcc_topo::Topology;
 
 /// One flow: a protocol, a path (link indices), an initial window, and an
-/// activity window (start/stop steps, for churned populations).
-pub struct FlowConfig {
-    protocol: Box<dyn Protocol>,
-    path: Vec<usize>,
-    initial_window: f64,
-    start_step: u64,
-    stop_step: Option<u64>,
-}
+/// activity window (start/stop steps, for churned populations). A
+/// [`SenderConfig`] with a path; parameters are checked when the
+/// scenario runs ([`NetScenario::try_run`]).
+pub struct FlowConfig(SenderConfig);
 
 impl FlowConfig {
     /// A flow running `protocol` over `path` (indices into the topology's
-    /// link list), starting from a 1-MSS window at step 0 and never
-    /// departing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty path.
+    /// link list; must be non-empty and in range), starting from a 1-MSS
+    /// window at step 0 and never departing.
     pub fn new(protocol: Box<dyn Protocol>, path: Vec<usize>) -> Self {
-        assert!(!path.is_empty(), "flow path cannot be empty");
-        FlowConfig {
-            protocol,
-            path,
-            initial_window: 1.0,
-            start_step: 0,
-            stop_step: None,
-        }
+        FlowConfig(SenderConfig::new(protocol).path(path))
     }
 
-    /// Set the initial window (MSS).
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite values.
-    pub fn initial_window(mut self, w: f64) -> Self {
-        assert!(
-            w.is_finite() && w >= 0.0,
-            "initial window must be finite and >= 0"
-        );
-        self.initial_window = w;
-        self
+    /// Set the initial window (MSS; finite and non-negative).
+    pub fn initial_window(self, w: f64) -> Self {
+        FlowConfig(self.0.initial_window(w))
     }
 
     /// Delay the flow's entry until the given step.
-    pub fn start_at(mut self, step: u64) -> Self {
-        self.start_step = step;
-        self
+    pub fn start_at(self, step: u64) -> Self {
+        FlowConfig(self.0.start_at(step))
     }
 
     /// Remove the flow at the given step: active for steps in
-    /// `[start, stop)`, zero window afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stop step does not exceed the start step.
-    pub fn stop_at(mut self, step: u64) -> Self {
-        assert!(step > self.start_step, "stop step must follow the start");
-        self.stop_step = Some(step);
-        self
-    }
-
-    fn active_at(&self, t: u64) -> bool {
-        t >= self.start_step && self.stop_step.is_none_or(|s| t < s)
+    /// `[start, stop)`, zero window afterwards. Must exceed the start
+    /// step.
+    pub fn stop_at(self, step: u64) -> Self {
+        FlowConfig(self.0.stop_at(step))
     }
 }
 
 /// A network scenario.
-pub struct NetScenario {
-    topology: Topology,
-    flows: Vec<FlowConfig>,
-    steps: usize,
-    max_window: f64,
-}
+pub struct NetScenario(pub(crate) Scenario);
 
 impl NetScenario {
     /// A scenario on `topology` with no flows yet and 1000 steps.
     pub fn new(topology: Topology) -> Self {
-        NetScenario {
-            topology,
-            flows: Vec::new(),
-            steps: 1000,
-            max_window: MAX_WINDOW,
-        }
+        NetScenario(Scenario::on(topology))
     }
 
     /// Add a flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow's path references a link outside the topology.
-    pub fn flow(mut self, cfg: FlowConfig) -> Self {
-        for &l in &cfg.path {
-            assert!(
-                l < self.topology.num_links(),
-                "path references link {l}, topology has {}",
-                self.topology.num_links()
-            );
-        }
-        self.flows.push(cfg);
-        self
+    pub fn flow(self, cfg: FlowConfig) -> Self {
+        NetScenario(self.0.sender(cfg.0))
     }
 
-    /// Set the number of steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn steps(mut self, steps: usize) -> Self {
-        assert!(steps > 0, "scenario must run at least one step");
-        self.steps = steps;
-        self
+    /// Set the number of steps (at least one).
+    pub fn steps(self, steps: usize) -> Self {
+        NetScenario(self.0.steps(steps))
     }
 
     /// Add a churned flow population on `path`: expand `plan` over this
@@ -144,29 +88,36 @@ impl NetScenario {
     /// `prototype` entering with a 1-MSS window at its arrival step and
     /// departing at its stop step.
     pub fn churn(
-        mut self,
+        self,
         plan: &axcc_topo::ChurnPlan,
         prototype: &dyn Protocol,
         path: Vec<usize>,
-    ) -> Result<Self, axcc_core::ScenarioError> {
-        self.topology.validate_path(&path)?;
-        for iv in plan.try_expand(self.steps as u64)? {
-            self.flows.push(
-                FlowConfig::new(prototype.clone_box(), path.clone())
-                    .start_at(iv.start)
-                    .stop_at(iv.stop),
-            );
+    ) -> Result<Self, ScenarioError> {
+        let first = self.0.senders.len();
+        let mut scenario = self.0.churn(plan, prototype)?;
+        for cfg in &mut scenario.senders[first..] {
+            cfg.path = path.clone();
         }
-        Ok(self)
+        Ok(NetScenario(scenario))
+    }
+
+    /// Run the scenario, or return a typed error for an invalid
+    /// configuration (no flows, zero steps, an empty or out-of-range
+    /// path, a stop step not after its start, …) or a numerically
+    /// divergent run.
+    pub fn try_run(self) -> Result<NetTrace, ScenarioError> {
+        NetTrace::record(self.0)
     }
 
     /// Run the scenario.
     ///
     /// # Panics
     ///
-    /// Panics with no flows.
+    /// Panics (with the [`ScenarioError`] message) where
+    /// [`try_run`](NetScenario::try_run) returns an error.
     pub fn run(self) -> NetTrace {
-        run_network(self)
+        // tidy-allow: panic-freedom — documented panicking façade over try_run; fallible callers use the try_ path
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -186,6 +137,45 @@ pub struct NetTrace {
 }
 
 impl NetTrace {
+    /// Run `scenario` through the engine and record it per flow and per
+    /// link.
+    pub(crate) fn record(scenario: Scenario) -> Result<NetTrace, ScenarioError> {
+        let paths: Vec<Vec<usize>> = scenario.senders.iter().map(|s| s.path.clone()).collect();
+        let topology_links = scenario.topology.links().to_vec();
+        let trace = scenario.try_run()?;
+        let steps = trace.len();
+        let mut flows = trace.senders;
+        // A one-link run shares its RTT column; network flows always
+        // carry their own (an idle flow's is its path RTT).
+        for f in &mut flows {
+            f.rtt.get_or_insert_with(|| trace.rtt.clone());
+        }
+        // Each link's load sums the windows crossing it in flow order —
+        // the additions the step loop made (idle flows record exactly the
+        // 0.0 they hold), so the recomputed loads are its loads bit for
+        // bit.
+        let mut link_load = vec![vec![0.0; steps]; topology_links.len()];
+        for (path, f) in paths.iter().zip(&flows) {
+            for &l in path {
+                for (x, &w) in link_load[l].iter_mut().zip(&f.window) {
+                    *x += w;
+                }
+            }
+        }
+        let link_loss = link_load
+            .iter()
+            .zip(&topology_links)
+            .map(|(load, link)| load.iter().map(|&x| link.loss_rate(x)).collect())
+            .collect();
+        Ok(NetTrace {
+            flows,
+            paths,
+            link_load,
+            link_loss,
+            topology_links,
+        })
+    }
+
     /// Number of steps.
     pub fn len(&self) -> usize {
         self.flows.first().map_or(0, |f| f.len())
@@ -225,130 +215,6 @@ impl NetTrace {
     }
 }
 
-fn run_network(scenario: NetScenario) -> NetTrace {
-    let NetScenario {
-        topology,
-        mut flows,
-        steps,
-        max_window,
-    } = scenario;
-    assert!(
-        !flows.is_empty(),
-        "network scenario needs at least one flow"
-    );
-
-    let nf = flows.len();
-    let nl = topology.num_links();
-    let mut windows: Vec<f64> = vec![0.0; nf];
-    let mut min_rtts = vec![f64::INFINITY; nf];
-
-    // Per-flow base propagation RTT: constant across the run, so the sum
-    // over the path is hoisted out of the step loop (same left-to-right
-    // addition order as the in-loop sum it replaces — bit-identical).
-    let base_rtts: Vec<f64> = flows
-        .iter()
-        .map(|f| f.path.iter().map(|&l| topology.link(l).min_rtt()).sum())
-        .collect();
-
-    // Every trace column is prefilled to its final length and written by
-    // index: idle flows' exact zeros are already in place, and the step
-    // loop below never allocates (the `step-loop-alloc` tidy rule keeps
-    // it that way).
-    let mut traces: Vec<SenderTrace> = flows
-        .iter()
-        .map(|f| {
-            let mut tr =
-                SenderTrace::with_capacity(f.protocol.name(), f.protocol.loss_based(), steps);
-            tr.window.resize(steps, 0.0);
-            tr.loss.resize(steps, 0.0);
-            tr.goodput.resize(steps, 0.0);
-            // Paths differ, so flows genuinely see different RTTs: each
-            // flow carries its own column instead of the shared-column
-            // dedup the single-link engine uses.
-            tr.own_rtt_mut().resize(steps, 0.0);
-            tr
-        })
-        .collect();
-    let mut link_load = vec![vec![0.0; steps]; nl];
-    let mut link_loss = vec![vec![0.0; steps]; nl];
-    let mut loads = vec![0.0; nl];
-    let mut losses = vec![0.0; nl];
-    let mut qdelays = vec![0.0; nl];
-
-    for t in 0..steps as u64 {
-        let k = t as usize;
-
-        // Admissions and departures: a flow's window appears at its start
-        // step and vanishes at its stop step (idle flows hold exactly 0.0
-        // and contribute nothing to any link's load).
-        for (f, cfg) in flows.iter().enumerate() {
-            if t == cfg.start_step {
-                windows[f] = clamp_window(cfg.initial_window, max_window);
-            }
-            if cfg.stop_step == Some(t) {
-                windows[f] = 0.0;
-            }
-        }
-
-        // Per-link aggregates.
-        loads.fill(0.0);
-        for (f, cfg) in flows.iter().enumerate() {
-            for &l in &cfg.path {
-                loads[l] += windows[f];
-            }
-        }
-        for l in 0..nl {
-            let link = topology.link(l);
-            losses[l] = link.loss_rate(loads[l]);
-            // Queueing component of equation (1): RTT − 2Θ, capped by
-            // the timeout branch as on the single link.
-            qdelays[l] = link.rtt(loads[l]) - link.min_rtt();
-            link_load[l][k] = loads[l];
-            link_loss[l][k] = losses[l];
-        }
-
-        // Per-flow observation and update.
-        for (f, cfg) in flows.iter_mut().enumerate() {
-            let rtt: f64 = base_rtts[f] + cfg.path.iter().map(|&l| qdelays[l]).sum::<f64>();
-            traces[f].own_rtt_mut()[k] = rtt;
-
-            // Idle flows (not yet arrived, or departed) keep the
-            // prefilled exact zeros — the path RTT is still recorded so
-            // the column stays rectangular and meaningful — and skip the
-            // protocol update, matching the single-link engine's churn
-            // semantics.
-            if !cfg.active_at(t) {
-                continue;
-            }
-
-            let loss = 1.0 - cfg.path.iter().map(|&l| 1.0 - losses[l]).product::<f64>();
-            min_rtts[f] = min_rtts[f].min(rtt);
-
-            let w = windows[f];
-            traces[f].window[k] = w;
-            traces[f].loss[k] = loss;
-            traces[f].goodput[k] = w * (1.0 - loss) / rtt;
-
-            let obs = Observation {
-                tick: t,
-                window: w,
-                loss_rate: loss,
-                rtt,
-                min_rtt: min_rtts[f],
-            };
-            windows[f] = clamp_window(cfg.protocol.next_window(&obs), max_window);
-        }
-    }
-
-    NetTrace {
-        flows: traces,
-        paths: flows.iter().map(|f| f.path.clone()).collect(),
-        link_load,
-        link_loss,
-        topology_links: topology.links().to_vec(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,7 +238,7 @@ mod tests {
 
     #[test]
     fn single_link_reduces_to_the_paper_model() {
-        // One link, one flow: the network engine must reproduce the
+        // One link, one flow: the network façade must reproduce the
         // single-bottleneck sawtooth.
         let net = NetScenario::new(Topology::new(vec![hop()]))
             .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0]).initial_window(1.0))
@@ -384,6 +250,7 @@ mod tests {
             .run();
         assert_eq!(net.flows[0].window, single.senders[0].window);
         assert_eq!(net.flows[0].loss, single.senders[0].loss);
+        assert_eq!(net.flow_rtt(0), single.sender_rtt(0));
     }
 
     #[test]
@@ -543,198 +410,82 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "references link")]
+    fn stop_before_start_is_rejected_instead_of_leaving_a_ghost_load() {
+        // Builder order used to matter: `stop_at` checked `stop > start`
+        // against the default start of 0, so this flow was accepted, went
+        // idle at step 200, and left its 50 MSS in the link load.
+        let err = NetScenario::new(Topology::new(vec![hop()]))
+            .steps(300)
+            .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0]))
+            .flow(
+                FlowConfig::new(Box::new(Aimd::reno()), vec![0])
+                    .initial_window(50.0)
+                    .stop_at(100)
+                    .start_at(200),
+            )
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidSender {
+                index: 1,
+                field: "stop_tick",
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn out_of_range_path_rejected() {
-        NetScenario::new(Topology::new(vec![hop()]))
-            .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![1]));
+        let err = NetScenario::new(Topology::new(vec![hop()]))
+            .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![1]))
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidParameter { field: "path", .. }
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "at least one flow")]
     fn empty_scenario_rejected() {
-        NetScenario::new(Topology::new(vec![hop()])).run();
-    }
-
-    /// The pre-hoisting network engine, kept verbatim as the equivalence
-    /// reference for the allocation-free rewrite of [`run_network`].
-    fn run_network_reference(scenario: NetScenario) -> NetTrace {
-        let NetScenario {
-            topology,
-            mut flows,
-            steps,
-            max_window,
-        } = scenario;
-        assert!(
-            !flows.is_empty(),
-            "network scenario needs at least one flow"
-        );
-
-        let nf = flows.len();
-        let nl = topology.num_links();
-        let mut windows: Vec<f64> = vec![0.0; nf];
-        let mut min_rtts = vec![f64::INFINITY; nf];
-
-        let mut traces: Vec<SenderTrace> = flows
-            .iter()
-            .map(|f| SenderTrace::with_capacity(f.protocol.name(), f.protocol.loss_based(), steps))
-            .collect();
-        let mut link_load = vec![Vec::with_capacity(steps); nl];
-        let mut link_loss = vec![Vec::with_capacity(steps); nl];
-
-        for t in 0..steps as u64 {
-            for (f, cfg) in flows.iter().enumerate() {
-                if t == cfg.start_step {
-                    windows[f] = clamp_window(cfg.initial_window, max_window);
-                }
-                if cfg.stop_step == Some(t) {
-                    windows[f] = 0.0;
-                }
-            }
-
-            let mut loads = vec![0.0; nl];
-            for (f, cfg) in flows.iter().enumerate() {
-                for &l in &cfg.path {
-                    loads[l] += windows[f];
-                }
-            }
-            let losses: Vec<f64> = (0..nl)
-                .map(|l| topology.link(l).loss_rate(loads[l]))
-                .collect();
-            let qdelays: Vec<f64> = (0..nl)
-                .map(|l| {
-                    let link = topology.link(l);
-                    link.rtt(loads[l]) - link.min_rtt()
-                })
-                .collect();
-            for l in 0..nl {
-                link_load[l].push(loads[l]);
-                link_loss[l].push(losses[l]);
-            }
-
-            for (f, cfg) in flows.iter_mut().enumerate() {
-                let base_rtt: f64 = cfg.path.iter().map(|&l| topology.link(l).min_rtt()).sum();
-                let rtt: f64 = base_rtt + cfg.path.iter().map(|&l| qdelays[l]).sum::<f64>();
-
-                if !cfg.active_at(t) {
-                    traces[f].window.push(0.0);
-                    traces[f].loss.push(0.0);
-                    traces[f].own_rtt_mut().push(rtt);
-                    traces[f].goodput.push(0.0);
-                    continue;
-                }
-
-                let loss = 1.0 - cfg.path.iter().map(|&l| 1.0 - losses[l]).product::<f64>();
-                min_rtts[f] = min_rtts[f].min(rtt);
-
-                let w = windows[f];
-                traces[f].window.push(w);
-                traces[f].loss.push(loss);
-                traces[f].own_rtt_mut().push(rtt);
-                traces[f].goodput.push(w * (1.0 - loss) / rtt);
-
-                let obs = Observation {
-                    tick: t,
-                    window: w,
-                    loss_rate: loss,
-                    rtt,
-                    min_rtt: min_rtts[f],
-                };
-                windows[f] = clamp_window(cfg.protocol.next_window(&obs), max_window);
-            }
-        }
-
-        NetTrace {
-            flows: traces,
-            paths: flows.iter().map(|f| f.path.clone()).collect(),
-            link_load,
-            link_loss,
-            topology_links: topology.links().to_vec(),
-        }
-    }
-
-    /// `FlowConfig` is deliberately not `Clone` (it owns a protocol box),
-    /// so equivalence checks build the scenario twice from a closure.
-    fn assert_network_engines_match(build: impl Fn() -> NetScenario) {
-        let hoisted = run_network(build());
-        let reference = run_network_reference(build());
-        assert_eq!(
-            hoisted, reference,
-            "hoisted network engine diverged from the push-based reference"
-        );
+        let err = NetScenario::new(Topology::new(vec![hop()]))
+            .try_run()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::NoSenders);
     }
 
     #[test]
-    fn hoisted_engine_matches_reference_on_the_parking_lot() {
-        assert_network_engines_match(|| {
-            NetScenario::new(Topology::parking_lot(2, hop()))
-                .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0, 1]))
-                .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0]))
-                .flow(FlowConfig::new(Box::new(Vegas::classic()), vec![1]))
-                .steps(2000)
-        });
-    }
-
-    #[test]
-    fn hoisted_engine_matches_reference_under_churn() {
-        assert_network_engines_match(|| {
-            let plan = axcc_topo::ChurnPlan::poisson(0.01, 150.0).seed(4);
-            NetScenario::new(Topology::parking_lot(3, hop()))
-                .steps(1500)
-                .flow(FlowConfig::new(Box::new(Aimd::reno()), vec![0, 1, 2]))
-                .flow(
-                    FlowConfig::new(Box::new(Aimd::reno()), vec![1])
-                        .start_at(200)
-                        .stop_at(900),
-                )
-                .churn(&plan, &Aimd::reno(), vec![0, 1])
-                .unwrap()
-        });
-    }
-
-    mod equivalence {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// The allocation-free network engine is bit-identical to the
-            /// push-based reference across random parking lots: hop
-            /// counts, protocols, flow populations, activity windows.
-            #[test]
-            fn hoisted_engine_matches_reference(
-                hops in 1usize..4,
-                steps in 50usize..400,
-                protos in proptest::collection::vec(0u8..2, 1..5),
-                initial in 0.5f64..40.0,
-                stagger in any::<bool>(),
-            ) {
-                let build = || {
-                    let mut sc = NetScenario::new(Topology::parking_lot(hops, hop())).steps(steps);
-                    // One long flow across every hop, then a short flow
-                    // per remaining protocol, round-robin over links.
-                    sc = sc.flow(
-                        FlowConfig::new(Box::new(Aimd::reno()), (0..hops).collect())
-                            .initial_window(initial),
-                    );
-                    for (k, &p) in protos.iter().enumerate() {
-                        let proto: Box<dyn Protocol> = match p {
-                            0 => Box::new(Aimd::reno()),
-                            _ => Box::new(Vegas::classic()),
-                        };
-                        let mut cfg = FlowConfig::new(proto, vec![k % hops])
-                            .initial_window(initial + k as f64);
-                        if stagger && k % 2 == 1 {
-                            cfg = cfg
-                                .start_at(steps as u64 / 4)
-                                .stop_at((3 * steps as u64 / 4).max(steps as u64 / 4 + 1));
-                        }
-                        sc = sc.flow(cfg);
-                    }
-                    sc
-                };
-                assert_network_engines_match(build);
+    fn invalid_flow_parameters_are_typed_errors() {
+        let build = || NetScenario::new(Topology::parking_lot(2, hop()));
+        let reno = || Box::new(Aimd::reno());
+        let err = build()
+            .flow(FlowConfig::new(reno(), vec![]))
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidParameter { field: "path", .. }
+        ));
+        let err = build()
+            .flow(FlowConfig::new(reno(), vec![0]).initial_window(-1.0))
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidSender {
+                field: "initial_window",
+                ..
             }
-        }
+        ));
+        let err = build()
+            .flow(FlowConfig::new(reno(), vec![0, 1]))
+            .steps(0)
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidParameter { field: "steps", .. }
+        ));
     }
 }

@@ -1,29 +1,42 @@
-//! Scenario description: link, senders, run length, loss injection.
+//! Scenario description: topology, senders, run length, loss injection.
 
 use crate::loss::LossModel;
 use axcc_core::protocol::MAX_WINDOW;
 use axcc_core::{LinkParams, Protocol, RunTrace, ScenarioError};
+use axcc_topo::Topology;
 use serde::{Deserialize, Serialize};
 
-/// One sender in a scenario: a protocol, an initial window, a start step
-/// (for late-joiner dynamics), and an optional stop step (for departures
-/// in churned populations).
+/// One sender in a scenario: a protocol, a path through the topology, an
+/// initial window, a start step (for late-joiner dynamics), and an
+/// optional stop step (for departures in churned populations).
 pub struct SenderConfig {
     pub(crate) protocol: Box<dyn Protocol>,
+    /// Indices of the topology links the sender crosses, in order.
+    pub(crate) path: Vec<usize>,
     pub(crate) initial_window: f64,
     pub(crate) start_tick: u64,
     pub(crate) stop_tick: Option<u64>,
 }
 
 impl SenderConfig {
-    /// A sender running `protocol`, starting at step 0 with a 1-MSS window.
+    /// A sender running `protocol` over link 0, starting at step 0 with a
+    /// 1-MSS window.
     pub fn new(protocol: Box<dyn Protocol>) -> Self {
         SenderConfig {
             protocol,
+            path: vec![0],
             initial_window: 1.0,
             start_tick: 0,
             stop_tick: None,
         }
+    }
+
+    /// Route the sender over `path`, a list of indices into the scenario
+    /// topology's links (default: link 0). Must be non-empty and in range;
+    /// checked by [`Scenario::validate`].
+    pub fn path(mut self, path: Vec<usize>) -> Self {
+        self.path = path;
+        self
     }
 
     /// Set the initial congestion window `x_i^(0)` (MSS). Must be finite
@@ -73,10 +86,14 @@ pub enum FeedbackMode {
 /// [`run`](Scenario::run) (panics on invalid configuration) or
 /// [`try_run`](Scenario::try_run) (returns [`ScenarioError`]).
 ///
+/// A scenario runs on a [`Topology`]: [`Scenario::new`] is the paper's
+/// single bottleneck, [`Scenario::on`] any list of links, with each
+/// sender's [`path`](SenderConfig::path) naming the links it crosses.
+///
 /// Setters are non-panicking: all validation is centralized in
 /// [`validate`](Scenario::validate), which both run paths call first.
 pub struct Scenario {
-    pub(crate) link: LinkParams,
+    pub(crate) topology: Topology,
     pub(crate) senders: Vec<SenderConfig>,
     pub(crate) steps: usize,
     pub(crate) max_window: f64,
@@ -92,8 +109,15 @@ impl Scenario {
     /// A scenario on the given link with no senders yet, 1000 steps, no
     /// wire loss, seed 0, and the model's default `M`.
     pub fn new(link: LinkParams) -> Self {
+        Scenario::on(Topology::single(link))
+    }
+
+    /// Like [`new`](Scenario::new), on a multi-link topology (§6's
+    /// network-wide extension): a sender's RTT sums its path's per-link
+    /// delays and its loss composes across the path.
+    pub fn on(topology: Topology) -> Self {
         Scenario {
-            link,
+            topology,
             senders: Vec::new(),
             steps: 1000,
             max_window: MAX_WINDOW,
@@ -171,7 +195,7 @@ impl Scenario {
     /// the nominal rate. A fault-layer convenience over
     /// [`bandwidth_change`](Scenario::bandwidth_change).
     pub fn outage(self, from_step: u64, to_step: u64) -> Self {
-        let nominal = self.link.bandwidth;
+        let nominal = self.link().bandwidth;
         self.bandwidth_change(from_step, nominal * 1e-6)
             .bandwidth_change(to_step, nominal)
     }
@@ -204,6 +228,12 @@ impl Scenario {
         Ok(self)
     }
 
+    /// Link 0 — the only link of a single-bottleneck scenario, and the one
+    /// whose state a multi-link run reports in its shared columns.
+    pub(crate) fn link(&self) -> LinkParams {
+        *self.topology.link(0)
+    }
+
     /// Check the full configuration. Both [`run`](Scenario::run) and
     /// [`try_run`](Scenario::try_run) call this before simulating; it is
     /// public so schedulers can validate scenarios they did not build.
@@ -229,6 +259,7 @@ impl Scenario {
             .validate()
             .map_err(ScenarioError::InvalidLossModel)?;
         for (i, cfg) in self.senders.iter().enumerate() {
+            self.topology.validate_path(&cfg.path)?;
             if !(cfg.initial_window.is_finite() && cfg.initial_window >= 0.0) {
                 return Err(ScenarioError::InvalidSender {
                     index: i,
@@ -256,6 +287,12 @@ impl Scenario {
                     constraint: "positive and finite (bandwidth must stay positive)",
                 });
             }
+        }
+        if !self.bandwidth_changes.is_empty() && self.topology.num_links() > 1 {
+            return Err(ScenarioError::ConflictingOptions {
+                first: "bandwidth_change",
+                second: "multi-link topology",
+            });
         }
         Ok(())
     }
@@ -391,6 +428,22 @@ mod tests {
                 ..
             }
         ));
+
+        let err = Scenario::on(Topology::parking_lot(2, link()))
+            .sender(SenderConfig::new(Box::new(Aimd::reno())).path(vec![0, 2]))
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ScenarioError::InvalidParameter { field: "path", .. }
+        ));
+
+        let err = Scenario::on(Topology::parking_lot(2, link()))
+            .homogeneous(&Aimd::reno(), 1, 1.0)
+            .bandwidth_change(10, 500.0)
+            .try_run()
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::ConflictingOptions { .. }));
     }
 
     #[test]

@@ -25,6 +25,10 @@ cargo run -q -p axcc-cli -- run-all --jobs 1 --smoke --no-cache > target/run-all
 cargo run -q -p axcc-cli -- run-all --jobs 2 --smoke --no-cache > target/run-all-jobs2.txt
 diff target/run-all-jobs1.txt target/run-all-jobs2.txt
 
+echo "==> parking-lot examples (multi-link scenarios through the engine's validation)"
+cargo run -q --release --example parking_lot > /dev/null
+cargo run -q --release --example parking_lot_churn > /dev/null
+
 echo "==> axcc sweep --only churn --smoke (flow churn: both engines, streaming path)"
 cargo run -q -p axcc-cli -- sweep --only churn --smoke --jobs 2 \
   --cache-dir target/sweep-cache-ci > /dev/null
