@@ -8,7 +8,9 @@
 //! reports are **identical** (they embed every measured score, so equal
 //! strings means bit-equal metrics), and records wall-clock for both plus
 //! the trace bytes the streaming path never allocated
-//! ([`axcc_fluidsim::stats`]).
+//! ([`axcc_fluidsim::stats`]). One more row, `bernoulli`, runs explore's
+//! cell shape under Bernoulli wire loss only (see [`run_bernoulli`]), so
+//! the snapshot prices the loss sampler on its own.
 //!
 //! Serial + no cache isolates the engine-path difference: no worker
 //! scheduling noise, no cache hits standing in for runs. Each mode is
@@ -24,9 +26,15 @@
 //! * `--min-speedup X` — exit non-zero if any experiment's streaming
 //!   speedup falls below `X` (the CI smoke gate).
 
-use axcc_analysis::experiments::{registry, RunBudget};
+use axcc_analysis::estimators::{eval_metrics, solo_metrics_of_acc, stream_options_for};
+use axcc_analysis::experiments::explore::{
+    loss_levels, param_grid, EXPLORE_SEED, INITIAL_WINDOWS, PAPER_STEPS, SMOKE_STEPS,
+};
+use axcc_analysis::experiments::{registry, Experiment, ExperimentOutcome, RunBudget};
 use axcc_bench::has_flag;
 use axcc_bench::runner::flag_value;
+use axcc_core::LinkParams;
+use axcc_fluidsim::{LossModel, MetricSet, Scenario, SenderConfig};
 use axcc_sweep::{EvalMode, Stopwatch, SweepRunner, ENGINE_REVISION};
 
 /// Minimum timed passes per (experiment, mode); the minimum wall-clock is
@@ -38,6 +46,46 @@ const TIMING_REPEATS: usize = 3;
 const TIMING_FLOOR_SECS: f64 = 0.5;
 /// Hard cap on timed passes per mode.
 const TIMING_MAX_REPEATS: usize = 25;
+
+/// The Bernoulli wire-loss row, timed and identity-checked like the
+/// registry's streaming experiments.
+const BERNOULLI: Experiment = Experiment {
+    name: "bernoulli",
+    artifact: "explore's cell shape under Bernoulli wire loss",
+    family: "frontier",
+    budget: "310 cells",
+    run: run_bernoulli,
+    supports_streaming: true,
+};
+
+/// Explore's cell shape — two senders from windows 1 and 5 on the
+/// reference link, explore's seed and step budget — over the smoke
+/// parameter grid at every seventh rung of the paper loss ladder
+/// (10⁻⁴ … 10⁻¹), with no clean cells: the explore sweep spends most of
+/// its time in these cells' loss sampling.
+fn run_bernoulli(runner: &SweepRunner, budget: RunBudget) -> ExperimentOutcome {
+    let steps = budget.steps(PAPER_STEPS, SMOKE_STEPS);
+    let options = stream_options_for(MetricSet::SOLO);
+    let ladder = loss_levels(RunBudget::paper());
+    let mut report = String::new();
+    for &rate in ladder.iter().skip(1).step_by(7) {
+        for point in param_grid(RunBudget::smoke()) {
+            let mut sc = Scenario::new(LinkParams::reference())
+                .steps(steps)
+                .seed(EXPLORE_SEED)
+                .wire_loss(LossModel::Bernoulli { rate });
+            for &w in &INITIAL_WINDOWS {
+                sc = sc.sender(SenderConfig::new(point.build()).initial_window(w));
+            }
+            let metrics = solo_metrics_of_acc(&eval_metrics(sc, &options, runner.eval_mode()));
+            report.push_str(&format!("{} @ {rate:.3e}: {metrics:?}\n", point.label()));
+        }
+    }
+    ExperimentOutcome {
+        report,
+        passed: true,
+    }
+}
 
 fn main() {
     let budget = if has_flag("--smoke") {
@@ -61,7 +109,8 @@ fn main() {
     let mut steps_total = 0u64;
     let mut sender_steps_total = 0u64;
     let mut below_gate: Vec<(String, f64)> = Vec::new();
-    for exp in registry().iter().filter(|e| e.supports_streaming) {
+    let streaming_rows = registry().into_iter().filter(|e| e.supports_streaming);
+    for exp in streaming_rows.chain([BERNOULLI]) {
         eprintln!("[bench-engine] {} …", exp.name);
 
         let traced = SweepRunner::without_cache(1).with_eval_mode(EvalMode::Traced);

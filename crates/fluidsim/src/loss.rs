@@ -18,10 +18,13 @@
 //!   rate; this is the literal reading of the axiom and is fully
 //!   deterministic.
 //! * [`LossModel::Bernoulli`] — each step's loss fraction is sampled as
-//!   `k/w` with `k ~ Binomial(⌈w⌉, rate)`: the packet-level reality the
+//!   `k/⌈w⌉` with `k ~ Binomial(⌈w⌉, rate)`: the packet-level reality the
 //!   rate abstracts. Small windows then see *bursty* loss (often 0,
 //!   occasionally ≥ 1 packet), which is exactly what breaks TCP in
-//!   practice and makes the robustness experiments more faithful.
+//!   practice and makes the robustness experiments more faithful. The
+//!   count is drawn exactly at every window size by geometric gap
+//!   skipping (see [`sample_loss_fraction`]): one uniform per dropped
+//!   packet plus one, not one per packet.
 //! * [`LossModel::GilbertElliott`] — a two-state Markov chain per sender:
 //!   a mostly-clean *good* state and a lossy *bad* state with geometric
 //!   sojourn times. This is the classic model of *correlated* loss
@@ -31,9 +34,8 @@
 //!
 //! Gilbert–Elliott is *stateful* (the chain's state persists across
 //! steps), so sampling goes through [`LossProcess`], which owns one chain
-//! per sender. The stateless variants pass through unchanged — their RNG
-//! draw sequences are identical to the pre-fault-layer engine, keeping
-//! old seeds bit-compatible.
+//! per sender and, for Bernoulli loss, the gap sampler's per-run
+//! constant.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -161,15 +163,18 @@ impl LossModel {
 }
 
 /// The runtime sampler for a [`LossModel`]: owns the per-sender
-/// Gilbert–Elliott chain states (all chains start in the good state).
+/// Gilbert–Elliott chain states (all chains start in the good state) and
+/// the Bernoulli rate's gap-sampling constant, computed once per run.
 ///
-/// For the stateless variants this is a zero-state pass-through whose RNG
-/// consumption exactly matches the historical engine: `None`/`Constant`
-/// never draw, `Bernoulli` draws per packet. Gilbert–Elliott draws exactly
-/// one transition uniform per sampled step.
+/// `None` and `Constant` never draw. `Bernoulli` draws one uniform per
+/// dropped packet plus one per sampled step (see [`sample_loss_fraction`]).
+/// Gilbert–Elliott draws exactly one transition uniform per sampled step.
 #[derive(Debug, Clone)]
 pub struct LossProcess {
     model: LossModel,
+    /// The Bernoulli model's drop sampler (`None` for every other model,
+    /// and for a zero rate, which never draws).
+    drops: Option<PacketDrops>,
     /// Per-sender "currently in bad state" flags (Gilbert–Elliott only).
     in_bad: Vec<bool>,
 }
@@ -177,8 +182,13 @@ pub struct LossProcess {
 impl LossProcess {
     /// A process for `model` serving `n_senders` independent chains.
     pub fn new(model: LossModel, n_senders: usize) -> Self {
+        let drops = match model {
+            LossModel::Bernoulli { rate } if rate > 0.0 => Some(PacketDrops::new(rate)),
+            _ => None,
+        };
         LossProcess {
             model,
+            drops,
             in_bad: vec![false; n_senders],
         }
     }
@@ -189,7 +199,9 @@ impl LossProcess {
         match self.model {
             LossModel::None => 0.0,
             LossModel::Constant { rate } => rate,
-            LossModel::Bernoulli { rate } => sample_loss_fraction(rng, window, rate),
+            LossModel::Bernoulli { .. } => self
+                .drops
+                .map_or(0.0, |drops| drops.loss_fraction(rng, window)),
             LossModel::GilbertElliott {
                 p_enter,
                 p_exit,
@@ -226,48 +238,94 @@ pub(crate) fn compose_path_loss(keep: f64, wire: f64) -> f64 {
 
 /// Sample the loss *fraction* a window of `window` MSS experiences when
 /// each of its packets is dropped independently with probability `rate`:
-/// `k/⌈window⌉` with `k ~ Binomial(⌈window⌉, rate)`.
+/// `k/⌈window⌉` with `k ~ Binomial(⌈window⌉, rate)`, drawn exactly at
+/// every window size with one uniform per dropped packet plus one (see
+/// [`PacketDrops`]).
 ///
-/// Shared by the Bernoulli wire-loss model and the per-packet
-/// (unsynchronized) congestion-feedback mode.
+/// Shared by the Bernoulli wire-loss model, which keeps its fixed rate's
+/// sampler in [`LossProcess`], and the per-packet (unsynchronized)
+/// congestion-feedback mode, whose rate changes every step.
 pub fn sample_loss_fraction(rng: &mut ChaCha8Rng, window: f64, rate: f64) -> f64 {
-    if window <= 0.0 || rate <= 0.0 {
+    if rate <= 0.0 {
         return 0.0;
     }
-    let n = window.ceil() as u64;
-    let k = sample_binomial(rng, n, rate.min(1.0 - f64::EPSILON));
-    (k as f64 / n as f64).min(1.0 - f64::EPSILON)
+    PacketDrops::new(rate).loss_fraction(rng, window)
 }
 
-/// Draw from Binomial(n, p).
+/// Exact Binomial(n, p) drop counts by geometric gap skipping.
 ///
-/// Exact Bernoulli summation for small `n`; for large `n` a normal
-/// approximation (clamped to `[0, n]`) keeps steps O(1) — at `n·p ≫ 10` the
-/// approximation error is far below the model's own fidelity.
-fn sample_binomial(rng: &mut ChaCha8Rng, n: u64, p: f64) -> u64 {
-    if n <= 1024 {
-        let mut k = 0;
-        for _ in 0..n {
-            if rng.gen::<f64>() < p {
-                k += 1;
-            }
+/// Between two occurrences of the rarer outcome — a drop when `p ≤ ½`, a
+/// survival otherwise — the number of the other outcome is geometric:
+/// with `r = min(p, 1 − p)` and `U` uniform on `(0, 1]`,
+/// `⌊ln U / ln(1 − r)⌋` has `P(≥ g) = (1 − r)^g`. Drawing gaps until they
+/// run past `n` packets counts the rare outcomes among them, a
+/// Binomial(n, r) variate, in `1 + Bin(n, r)` uniforms: expected
+/// `1 + n·min(p, 1 − p)` draws. For `p > ½` the drops are `n` minus the
+/// counted survivors.
+#[derive(Debug, Clone, Copy)]
+struct PacketDrops {
+    /// `ln(1 − r)` for the rarer outcome's probability `r`; negative.
+    ln_q: f64,
+    /// Whether the rarer outcome is survival (`p > ½`).
+    count_survivors: bool,
+}
+
+impl PacketDrops {
+    /// The sampler for drop probability `p > 0` (clamped below 1).
+    fn new(p: f64) -> Self {
+        let p = p.min(1.0 - f64::EPSILON);
+        let count_survivors = p > 0.5;
+        // Exact: `1 − p` has no rounding error for `p ∈ [½, 1]`.
+        let rare = if count_survivors { 1.0 - p } else { p };
+        PacketDrops {
+            ln_q: (-rare).ln_1p(),
+            count_survivors,
         }
-        k
-    } else {
-        let mean = n as f64 * p;
-        let sd = (n as f64 * p * (1.0 - p)).sqrt();
-        // Box-Muller from two uniforms.
-        let u1: f64 = rng.gen::<f64>().max(1e-12);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (mean + sd * z).round().clamp(0.0, n as f64) as u64
+    }
+
+    /// `k/⌈window⌉` for `k` drops among `⌈window⌉` packets, kept below 1.
+    ///
+    /// Out of line: the step loop inlines [`LossProcess::sample`], and
+    /// inlining this loop there too slowed the Gilbert–Elliott gauntlet
+    /// runs, which never call it, by about 15%.
+    #[inline(never)]
+    fn loss_fraction<R: Rng + ?Sized>(&self, rng: &mut R, window: f64) -> f64 {
+        if window <= 0.0 {
+            return 0.0;
+        }
+        let n = window.ceil() as u64;
+        let k = self.sample_binomial(rng, n);
+        (k as f64 / n as f64).min(1.0 - f64::EPSILON)
+    }
+
+    /// Draw the number of drops among `n` packets.
+    fn sample_binomial<R: Rng + ?Sized>(&self, rng: &mut R, n: u64) -> u64 {
+        let mut rare = 0;
+        let mut left = n;
+        loop {
+            // `gen` is uniform on [0, 1), so `u` is uniform on (0, 1] and
+            // the gap is finite and non-negative; `as` floors it and
+            // saturates an overflowing one, which then ends the loop.
+            let u = 1.0 - rng.gen::<f64>();
+            let gap = (u.ln() / self.ln_q) as u64;
+            if gap >= left {
+                break;
+            }
+            left -= gap + 1;
+            rare += 1;
+        }
+        if self.count_survivors {
+            n - rare
+        } else {
+            rare
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -304,15 +362,130 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_large_window_normal_path() {
+    fn bernoulli_large_sparse_window_has_the_exact_tails() {
+        // Regression: windows above 1024 packets used to draw from a
+        // rounded normal, which gave P(k=0) ≈ 0.75 and P(k≥2) ≈ 0.002
+        // here. Exact: P(k=0) = 0.9999²⁰⁰⁰ ≈ 0.8187, P(k≥2) ≈ 0.0175.
         let mut r = rng(7);
-        let mut p = LossProcess::new(LossModel::Bernoulli { rate: 0.01 }, 1);
+        let mut p = LossProcess::new(LossModel::Bernoulli { rate: 1e-4 }, 1);
+        let trials = 200_000;
+        let (mut zero, mut two_plus) = (0u32, 0u32);
+        for _ in 0..trials {
+            let k = (p.sample(&mut r, 0, 2000.0) * 2000.0).round();
+            if k == 0.0 {
+                zero += 1;
+            } else if k >= 2.0 {
+                two_plus += 1;
+            }
+        }
+        let p0 = f64::from(zero) / f64::from(trials);
+        let p2 = f64::from(two_plus) / f64::from(trials);
+        assert!((p0 - 0.8187).abs() < 0.004, "P(k=0) = {p0}");
+        assert!((p2 - 0.0175).abs() < 0.002, "P(k>=2) = {p2}");
+    }
+
+    /// `ln P(K = k)` for `K ~ Binomial(n, p)`, `k = 0..=n`, by the pmf's
+    /// ratio recurrence in log space (no term underflows).
+    fn binomial_log_pmf(n: u64, p: f64) -> Vec<f64> {
+        let log_odds = p.ln() - (-p).ln_1p();
+        let mut log_pk = n as f64 * (-p).ln_1p();
+        let mut out = Vec::with_capacity(n as usize + 1);
+        for k in 0..=n {
+            out.push(log_pk);
+            log_pk += ((n - k) as f64 / (k + 1) as f64).ln() + log_odds;
+        }
+        out
+    }
+
+    /// Pearson's statistic of `counts` against `trials` draws from the
+    /// pmf `exp(log_pmf)`, with adjacent outcomes pooled until every bin
+    /// expects at least 5; returns the statistic and its degrees of
+    /// freedom.
+    fn chi_square(counts: &[u64], log_pmf: &[f64], trials: u64) -> (f64, usize) {
+        let mut bins: Vec<(f64, f64)> = Vec::new();
+        let (mut expected, mut observed) = (0.0, 0.0);
+        for (k, lp) in log_pmf.iter().enumerate() {
+            expected += trials as f64 * lp.exp();
+            observed += counts[k] as f64;
+            if expected >= 5.0 {
+                bins.push((expected, observed));
+                (expected, observed) = (0.0, 0.0);
+            }
+        }
+        match bins.last_mut() {
+            Some(last) => {
+                last.0 += expected;
+                last.1 += observed;
+            }
+            None => bins.push((expected, observed)),
+        }
+        let stat = bins.iter().map(|(e, o)| (o - e) * (o - e) / e).sum();
+        (stat, bins.len() - 1)
+    }
+
+    #[test]
+    fn binomial_counts_fit_the_exact_pmf() {
+        // Covers both sides of the old 1024-packet switch, the large-n,
+        // n·p < 10 corner, and the survivor-counting side p > ½.
+        let ns = [1, 7, 100, 1024, 1025, 2000, 10_000];
+        let ps: [f64; 8] = [1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.99];
+        let mut r = rng(2017);
+        for n in ns {
+            for p in ps {
+                // About 3·10⁵ uniforms per cell, at least 500 samples.
+                let cost = 1.0 + n as f64 * p.min(1.0 - p);
+                let trials = ((3e5 / cost) as u64).clamp(500, 200_000);
+                let drops = PacketDrops::new(p);
+                let mut counts = vec![0u64; n as usize + 1];
+                for _ in 0..trials {
+                    counts[drops.sample_binomial(&mut r, n) as usize] += 1;
+                }
+                let (stat, df) = chi_square(&counts, &binomial_log_pmf(n, p), trials);
+                // Wilson–Hilferty upper quantile at z = 4 (one-sided
+                // p ≈ 3·10⁻⁵ per cell).
+                let d = df.max(1) as f64;
+                let h = 2.0 / (9.0 * d);
+                let limit = d * (1.0 - h + 4.0 * h.sqrt()).powi(3);
+                assert!(
+                    stat <= limit,
+                    "n={n} p={p}: chi-square {stat:.1} > {limit:.1} on {df} df"
+                );
+            }
+        }
+    }
+
+    /// Counts the `u64` words drawn through it.
+    struct Counting(ChaCha8Rng, u64);
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn binomial_draws_scale_with_the_rarer_outcome_not_the_window() {
         let trials = 2000;
-        let mean: f64 = (0..trials)
-            .map(|_| p.sample(&mut r, 0, 50_000.0))
-            .sum::<f64>()
-            / trials as f64;
-        assert!((mean - 0.01).abs() < 0.001, "mean {mean}");
+        for (n, p) in [
+            (1, 0.5),
+            (50, 0.05),
+            (1000, 1e-3),
+            (2000, 1e-4),
+            (10_000, 0.99),
+        ] {
+            let drops = PacketDrops::new(p);
+            let mut r = Counting(rng(5), 0);
+            for _ in 0..trials {
+                drops.sample_binomial(&mut r, n);
+            }
+            let mean = r.1 as f64 / f64::from(trials);
+            let bound = 1.0 + n as f64 * f64::min(p, 1.0 - p);
+            assert!(
+                mean <= bound * 1.05 + 0.05,
+                "n={n} p={p}: {mean} draws per sample, bound {bound}"
+            );
+        }
     }
 
     #[test]
@@ -353,13 +526,18 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
+        // Two processes agree, and the process's per-run sampler draws
+        // exactly what the per-call `sample_loss_fraction` draws.
         let m = LossModel::Bernoulli { rate: 0.1 };
         let mut r1 = rng(5);
         let mut r2 = rng(5);
+        let mut r3 = rng(5);
         let mut p1 = LossProcess::new(m, 1);
         let mut p2 = LossProcess::new(m, 1);
         for _ in 0..100 {
-            assert_eq!(p1.sample(&mut r1, 0, 50.0), p2.sample(&mut r2, 0, 50.0));
+            let a = p1.sample(&mut r1, 0, 50.0);
+            assert_eq!(a, p2.sample(&mut r2, 0, 50.0));
+            assert_eq!(a, sample_loss_fraction(&mut r3, 50.0, 0.1));
         }
     }
 

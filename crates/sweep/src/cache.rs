@@ -25,9 +25,9 @@
 //! entry (the lost tail re-runs as misses), an entry whose body fails to
 //! decode is dropped from the index (miss, recompute, re-append), and
 //! write failures are swallowed — a broken cache directory may cost
-//! time, never correctness. Directories written by the old
-//! one-file-per-digest layout are migrated into the shard segments on
-//! first touch, so existing warm caches stay warm.
+//! time, never correctness. Files of the earlier one-file-per-digest
+//! layout are ignored: every one of them was written at an older engine
+//! revision, so no current digest addresses it.
 
 use crate::record::Record;
 use axcc_core::fingerprint::Digest;
@@ -39,8 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of segment shards in an on-disk store. Sixteen means the shard
-/// id is exactly the leading hex digit of the digest, which keeps the
-/// legacy-file migration a pure filename computation.
+/// id is exactly the leading hex digit of the digest.
 pub const SHARD_COUNT: usize = 16;
 
 /// Default segment size above which a shard is compacted and rewritten.
@@ -301,15 +300,13 @@ impl DiskStore {
     }
 
     /// First-touch opening: scan the segment into the index (truncating a
-    /// corrupt tail), then fold any legacy one-file-per-digest entries
-    /// for this shard into the segment.
+    /// corrupt tail).
     fn ensure_open(&self, id: usize, shard: &mut Shard, heals: &AtomicU64) {
         if shard.opened {
             return;
         }
         shard.opened = true;
         self.scan_segment(id, shard, heals);
-        self.migrate_legacy(id, shard, heals);
     }
 
     /// Build the index by walking the segment's entries; on the first
@@ -351,44 +348,6 @@ impl DiskStore {
         }
     }
 
-    /// Fold legacy one-file-per-digest entries (32-hex filenames) that
-    /// hash into this shard into the segment, deleting the loose files.
-    /// Undecodable legacy files are deleted as heal events.
-    fn migrate_legacy(&self, id: usize, shard: &mut Shard, heals: &AtomicU64) {
-        let Ok(listing) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut moved: Vec<(Digest, Record, PathBuf)> = Vec::new();
-        for dirent in listing.flatten() {
-            let name = dirent.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(digest) = Digest::from_hex(name) else {
-                continue;
-            };
-            if shard_of(&digest) != id {
-                continue;
-            }
-            let path = dirent.path();
-            match fs::read(&path)
-                .ok()
-                .and_then(|b| Record::decode(std::str::from_utf8(&b).ok()?))
-            {
-                Some(rec) => moved.push((digest, rec, path)),
-                None => {
-                    heals.fetch_add(1, Ordering::Relaxed);
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-        // Deterministic segment layout regardless of directory order.
-        moved.sort_by_key(|(d, _, _)| *d);
-        for (digest, rec, path) in &moved {
-            if self.append_locked(id, shard, &[(digest, rec)]) {
-                let _ = fs::remove_file(path);
-            }
-        }
-    }
-
     /// Append a group of records to shard `id` (one segment write),
     /// updating the index on success and rotating if the segment outgrew
     /// the threshold.
@@ -403,11 +362,10 @@ impl DiskStore {
     }
 
     /// The raw append: one buffered write of every entry, best-effort (a
-    /// full disk degrades to an in-memory cache, silently). Returns
-    /// whether the write landed.
-    fn append_locked(&self, id: usize, shard: &mut Shard, entries: &[(&Digest, &Record)]) -> bool {
+    /// full disk degrades to an in-memory cache, silently).
+    fn append_locked(&self, id: usize, shard: &mut Shard, entries: &[(&Digest, &Record)]) {
         if fs::create_dir_all(&self.dir).is_err() {
-            return false;
+            return;
         }
         let mut buf = Vec::new();
         let mut spans = Vec::with_capacity(entries.len());
@@ -437,7 +395,6 @@ impl DiskStore {
                 shard.index.insert(digest, span);
             }
         }
-        written
     }
 
     /// Seek+read one indexed body and decode it.
@@ -660,27 +617,6 @@ mod tests {
         cold.put(lost, record_of(3.5));
         let recovered = ResultCache::with_disk(dir.clone());
         assert_eq!(recovered.get(&lost), Some(record_of(3.5)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_per_digest_files_migrate_into_segments() {
-        let dir = temp_dir("legacy");
-        fs::create_dir_all(&dir).unwrap();
-        let good = digest_of("legacy-good");
-        let bad = digest_of("legacy-bad");
-        fs::write(dir.join(good.to_hex()), record_of(7.0).encode()).unwrap();
-        fs::write(dir.join(bad.to_hex()), "garbage").unwrap();
-
-        let cache = ResultCache::with_disk(dir.clone());
-        assert_eq!(cache.get(&good), Some(record_of(7.0)));
-        assert!(cache.get(&bad).is_none());
-        // Both loose files are gone: migrated or deleted.
-        assert!(!dir.join(good.to_hex()).exists());
-        assert!(!dir.join(bad.to_hex()).exists());
-        // And the migrated entry now lives in its segment.
-        let warm = ResultCache::with_disk(dir.clone());
-        assert_eq!(warm.get(&good), Some(record_of(7.0)));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -29,6 +29,10 @@ echo "==> parking-lot examples (multi-link scenarios through the engine's valida
 cargo run -q --release --example parking_lot > /dev/null
 cargo run -q --release --example parking_lot_churn > /dev/null
 
+echo "==> axcc run --wire-loss on a large-window link (exact Bernoulli sampling above 1024 MSS)"
+cargo run -q -p axcc-cli -- run --protocols pcc --wire-loss 0.0001 \
+  --bw-mbps 1000 --rtt-ms 42 --buffer 2000 --steps 2000 > /dev/null
+
 echo "==> axcc sweep --only churn --smoke (flow churn: both engines, streaming path)"
 cargo run -q -p axcc-cli -- sweep --only churn --smoke --jobs 2 \
   --cache-dir target/sweep-cache-ci > /dev/null
