@@ -678,10 +678,11 @@ fn runner_from(args: &Args) -> Result<SweepRunner, CliError> {
 }
 
 /// Render the runner's result-store statistics (`sweep --cache-stats`):
-/// process-lifetime hit/miss/heal counters, the in-memory index size, and
-/// one row per on-disk shard with its entry count and segment bytes — the
-/// observable footprint of the sharded log-structured store (O(shards)
-/// files regardless of job count).
+/// process-lifetime hit/miss/heal counters, the live entries indexed in
+/// memory across all shards (the whole store: every shard is loaded
+/// first), and one row per on-disk shard with its entry count and
+/// segment bytes — the observable footprint of the sharded
+/// log-structured store (O(shards) files regardless of job count).
 fn render_cache_stats(runner: &SweepRunner) -> String {
     let Some(cache) = runner.cache_handle() else {
         return "result store: disabled (--no-cache)\n".to_string();

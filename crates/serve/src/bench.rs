@@ -218,24 +218,7 @@ fn run_level(cfg: &BenchConfig, concurrency: usize) -> LevelReport {
     let wall_ms = sec_to_ms(level_start.elapsed().as_secs_f64());
     latencies.sort_unstable_by(f64::total_cmp);
 
-    // Fixed-window completion rates.
-    let window_ms = cfg.window_ms.max(1) as f64;
-    let n_windows = ((wall_ms / window_ms).ceil() as usize).max(1);
-    let mut buckets = vec![0u64; n_windows];
-    for &done in &completions {
-        let idx = ((done / window_ms) as usize).min(n_windows - 1);
-        buckets[idx] += 1;
-    }
-    // The trailing partial window under-counts by construction; only
-    // full windows inform min/max.
-    let full = if n_windows > 1 {
-        &buckets[..n_windows - 1]
-    } else {
-        &buckets[..]
-    };
-    let to_rps = |count: u64| count as f64 / ms_to_sec(window_ms);
-    let min_window_rps = full.iter().copied().min().map(to_rps).unwrap_or(0.0);
-    let max_window_rps = full.iter().copied().max().map(to_rps).unwrap_or(0.0);
+    let (min_window_rps, max_window_rps) = window_rates(&completions, wall_ms, cfg.window_ms);
 
     LevelReport {
         concurrency,
@@ -254,6 +237,35 @@ fn run_level(cfg: &BenchConfig, concurrency: usize) -> LevelReport {
         min_window_rps,
         max_window_rps,
     }
+}
+
+/// Slowest and fastest completion rates (rps) over fixed windows of
+/// `window_ms`, given each request's completion time (ms since the level
+/// started) and the level's wall time. The trailing partial window
+/// under-counts by construction, so only full windows inform min/max; a
+/// level that ends inside its first window has no full window and
+/// reports its one rate over the elapsed time instead.
+fn window_rates(completions: &[f64], wall_ms: f64, window_ms: u64) -> (f64, f64) {
+    let window_ms = window_ms.max(1) as f64;
+    let n_windows = ((wall_ms / window_ms).ceil() as usize).max(1);
+    if n_windows == 1 {
+        let rate = if wall_ms > 0.0 {
+            completions.len() as f64 / ms_to_sec(wall_ms)
+        } else {
+            0.0
+        };
+        return (rate, rate);
+    }
+    let mut buckets = vec![0u64; n_windows];
+    for &done in completions {
+        let idx = ((done / window_ms) as usize).min(n_windows - 1);
+        buckets[idx] += 1;
+    }
+    let full = &buckets[..n_windows - 1];
+    let to_rps = |count: u64| count as f64 / ms_to_sec(window_ms);
+    let min = full.iter().copied().min().map_or(0.0, to_rps);
+    let max = full.iter().copied().max().map_or(0.0, to_rps);
+    (min, max)
 }
 
 /// Warm the daemon's cache: evaluate every distinct spec once so every
@@ -406,6 +418,22 @@ mod tests {
         assert_eq!(percentile(&v, 99.0), 99.0);
         assert_eq!(percentile(&[7.5], 99.0), 7.5);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn window_rates_use_elapsed_time_without_a_full_window() {
+        // 50 requests done in 23 ms: one partial window, rated over 23 ms
+        // (not over the 250 ms window, which would read 200 rps).
+        let quick: Vec<f64> = (1..=50).map(|i| f64::from(i) * 0.46).collect();
+        let (min, max) = window_rates(&quick, 23.0, 250);
+        assert!((min - 50.0 / 0.023).abs() < 1e-6, "{min}");
+        assert_eq!(min, max);
+        // Two full windows then a partial one: the tail is ignored.
+        let mut long: Vec<f64> = vec![10.0; 30];
+        long.extend([260.0; 10]);
+        long.extend([510.0; 2]);
+        assert_eq!(window_rates(&long, 520.0, 250), (40.0, 120.0));
+        assert_eq!(window_rates(&[], 0.0, 250), (0.0, 0.0));
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! The content-addressed result store.
 //!
-//! Results live in an in-memory `BTreeMap` keyed by the 128-bit job
-//! [`Digest`]; a cache may additionally be backed by a directory holding
-//! a **sharded, log-structured** store: [`SHARD_COUNT`] append-only
-//! segment files, each owning the digests whose top hex digit matches
-//! the shard id. A segment is a sequence of length-prefixed entries
-//! (`axcc1 <32-hex digest> <body len>\n` followed by exactly that many
-//! bytes of encoded [`Record`]); an in-memory per-shard index from
-//! digest to byte range is rebuilt by scanning the segment the first
-//! time the shard is touched. Later entries for the same digest win
-//! during the scan, so an append is also an overwrite — there is no
-//! in-place mutation anywhere in the format.
+//! A cache is [`SHARD_COUNT`] shards, each owning the 128-bit job
+//! [`Digest`]s whose top hex digit matches the shard id. A shard is an
+//! append-only byte log of length-prefixed entries (`axcc1 <32-hex
+//! digest> <body len>\n` followed by exactly that many bytes of encoded
+//! [`Record`]) plus one index from digest to the byte range of its
+//! latest entry. Later entries for the same digest win, so an append is
+//! also an overwrite — there is no in-place mutation anywhere in the
+//! format. A hit decodes the body straight out of the log.
+//!
+//! A cache backed by a directory mirrors each shard's log in a segment
+//! file: the first touch of a shard reads its segment into the log and
+//! indexes it, and every append goes to both the log and the file. An
+//! in-memory cache is the same shards with no directory. Either way a
+//! cold sweep creates O(shards) files regardless of job count.
 //!
 //! Because the address is a content hash of *all* inputs including the
 //! engine version, entries never go stale — a stale input simply hashes
-//! elsewhere — so there is no eviction machinery; segments are compacted
-//! (latest entry per digest, temp file + rename) only when they outgrow
-//! the rotation threshold. A cold sweep therefore creates O(shards)
-//! files regardless of job count, where the previous one-file-per-digest
-//! layout created O(jobs).
+//! elsewhere — so there is no eviction machinery. A shard is compacted
+//! (latest entry per digest, temp file + rename) only once its log
+//! outgrows the rotation threshold *and* superseded entries outweigh
+//! live ones, so a shard of distinct digests is never rewritten.
 //!
 //! Disk I/O is strictly best-effort: a segment whose tail was truncated
 //! by a killed process is healed by truncating back to the last whole
@@ -33,48 +35,85 @@ use crate::record::Record;
 use axcc_core::fingerprint::Digest;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Number of segment shards in an on-disk store. Sixteen means the shard
-/// id is exactly the leading hex digit of the digest.
+/// Number of shards in a store. Sixteen means the shard id is exactly
+/// the leading hex digit of the digest.
 pub const SHARD_COUNT: usize = 16;
 
-/// Default segment size above which a shard is compacted and rewritten.
+/// Default log size above which a shard with mostly superseded entries
+/// is compacted and rewritten.
 const DEFAULT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Leading magic token of every segment entry header.
 const ENTRY_MAGIC: &str = "axcc1";
+
+/// Hex digits of a digest in an entry header.
+const DIGEST_HEX_LEN: usize = 32;
+
+/// Most decimal digits a body length may have (`u64::MAX` has 20).
+const MAX_LEN_DIGITS: usize = 20;
 
 /// Monotonic suffix source for temp-file names, so concurrent rotations
 /// in one process never collide. (Cross-process uniqueness comes from the
 /// process id in the name.)
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Byte range of one indexed record body inside its segment file.
+/// Where one entry sits in its shard's log: header at `start`, body
+/// `body..end`.
 #[derive(Debug, Clone, Copy)]
 struct Span {
-    offset: u64,
-    len: u32,
+    start: usize,
+    body: usize,
+    end: usize,
 }
 
-/// One segment shard: lazily opened, then an index over the segment file.
+impl Span {
+    fn len(self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// One shard: lazily loaded, then a log and the index over it.
 #[derive(Debug, Default)]
 struct Shard {
     opened: bool,
+    /// Every entry loaded or appended, in segment format.
+    log: Vec<u8>,
     index: BTreeMap<Digest, Span>,
-    /// Current segment length in bytes (append position).
-    bytes: u64,
+    /// Bytes of `log` held by indexed entries; the rest is superseded.
+    live_bytes: usize,
 }
 
-/// The on-disk half of a cache: a directory of segment shards.
-#[derive(Debug)]
-struct DiskStore {
-    dir: PathBuf,
-    rotate_bytes: u64,
-    shards: Vec<Mutex<Shard>>,
+impl Shard {
+    /// Index the log's entries from `pos` on, later ones overriding
+    /// earlier ones; returns where the first malformed or cut-short entry
+    /// starts (the log's length if there is none).
+    fn index_from(&mut self, mut pos: usize) -> usize {
+        while let Some((digest, span)) = parse_entry(&self.log, pos) {
+            self.live_bytes += span.len();
+            if let Some(old) = self.index.insert(digest, span) {
+                self.live_bytes -= old.len();
+            }
+            pos = span.end;
+        }
+        pos
+    }
+
+    fn forget(&mut self, digest: &Digest) {
+        if let Some(old) = self.index.remove(digest) {
+            self.live_bytes -= old.len();
+        }
+    }
+
+    /// The compaction rule: the log is over the threshold and more than
+    /// half of it is superseded entries.
+    fn needs_compaction(&self, rotate_bytes: u64) -> bool {
+        self.log.len() as u64 > rotate_bytes && self.log.len() - self.live_bytes > self.live_bytes
+    }
 }
 
 /// Per-shard occupancy as reported by [`ResultCache::stats`].
@@ -82,7 +121,7 @@ struct DiskStore {
 pub struct ShardStats {
     /// Live (indexed) entries in the shard.
     pub entries: usize,
-    /// Current segment file size in bytes, including superseded entries.
+    /// Current segment size in bytes, including superseded entries.
     pub segment_bytes: u64,
 }
 
@@ -90,14 +129,16 @@ pub struct ShardStats {
 /// `axcc sweep --cache-stats`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered (from memory or disk).
+    /// Lookups answered.
     pub hits: u64,
     /// Lookups that found nothing (the job re-ran).
     pub misses: u64,
     /// Corruption repairs: truncated segment tails and entries whose body
     /// failed to decode, both healed into plain misses.
     pub heal_events: u64,
-    /// Entries currently held in memory.
+    /// Live entries indexed in memory across all shards. Every shard is
+    /// loaded before counting, so for a disk cache this is the store's
+    /// whole content, not just this process's traffic.
     pub mem_entries: usize,
     /// Per-shard occupancy; empty for purely in-memory caches.
     pub shards: Vec<ShardStats>,
@@ -115,22 +156,26 @@ impl CacheStats {
     }
 }
 
-/// In-memory + optional on-disk record store, shared across worker
-/// threads.
+/// Sharded record store, optionally mirrored on disk, shared across
+/// worker threads.
 #[derive(Debug)]
 pub struct ResultCache {
-    mem: Mutex<BTreeMap<Digest, Record>>,
-    disk: Option<DiskStore>,
+    dir: Option<PathBuf>,
+    rotate_bytes: u64,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     heals: AtomicU64,
 }
 
 impl ResultCache {
-    fn with_disk_opt(disk: Option<DiskStore>) -> Self {
+    fn with_dir_opt(dir: Option<PathBuf>, rotate_bytes: u64) -> Self {
         ResultCache {
-            mem: Mutex::new(BTreeMap::new()),
-            disk,
+            dir,
+            rotate_bytes,
+            shards: (0..SHARD_COUNT)
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             heals: AtomicU64::new(0),
@@ -139,7 +184,7 @@ impl ResultCache {
 
     /// Purely in-memory cache (lives as long as the process).
     pub fn in_memory() -> Self {
-        Self::with_disk_opt(None)
+        Self::with_dir_opt(None, DEFAULT_ROTATE_BYTES)
     }
 
     /// Cache backed by `dir` (created on first write). Entries persist
@@ -153,22 +198,15 @@ impl ResultCache {
     /// threshold, for tests that need to exercise compaction without
     /// writing megabytes.
     pub fn with_disk_rotate_at(dir: PathBuf, rotate_bytes: u64) -> Self {
-        let shards = (0..SHARD_COUNT)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect();
-        Self::with_disk_opt(Some(DiskStore {
-            dir,
-            rotate_bytes,
-            shards,
-        }))
+        Self::with_dir_opt(Some(dir), rotate_bytes)
     }
 
     /// The backing directory, if this cache has one.
     pub fn disk_dir(&self) -> Option<&PathBuf> {
-        self.disk.as_ref().map(|d| &d.dir)
+        self.dir.as_ref()
     }
 
-    /// Look up a record; disk hits are promoted into memory.
+    /// Look up a record, decoding it from its shard's log.
     ///
     /// An indexed entry whose body no longer decodes (bit rot, a stray
     /// editor) is dropped from the index and treated as a miss, so the
@@ -176,17 +214,27 @@ impl ResultCache {
     /// entry would shadow its own address forever and every warm run
     /// would silently pay for the same re-computation.
     pub fn get(&self, digest: &Digest) -> Option<Record> {
-        if let Some(rec) = self.lock_mem().get(digest) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(rec.clone());
+        let mut shard = self.open_shard(shard_of(digest));
+        let found = shard.index.get(digest).map(|span| {
+            std::str::from_utf8(&shard.log[span.body..span.end])
+                .ok()
+                .and_then(Record::decode)
+        });
+        match found {
+            Some(Some(rec)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(rec);
+            }
+            Some(None) => {
+                // Heal-by-forgetting: drop the poisoned index entry so the
+                // recomputed result can take the address back.
+                shard.forget(digest);
+                self.heals.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
         }
-        let Some(rec) = self.disk_get(digest) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        self.lock_mem().insert(*digest, rec.clone());
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(rec)
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Store a record under its content address.
@@ -199,86 +247,161 @@ impl ResultCache {
     /// write path of chunked dispatch: a worker flushes its whole chunk
     /// here in one call.
     pub fn put_batch(&self, entries: Vec<(Digest, Record)>) {
-        if entries.is_empty() {
-            return;
+        let mut by_shard: Vec<Vec<(Digest, Record)>> =
+            (0..SHARD_COUNT).map(|_| Vec::new()).collect();
+        for entry in entries {
+            by_shard[shard_of(&entry.0)].push(entry);
         }
-        if let Some(disk) = &self.disk {
-            // Group by shard so each segment is appended to exactly once.
-            let mut by_shard: Vec<Vec<&(Digest, Record)>> =
-                (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-            for entry in &entries {
-                by_shard[shard_of(&entry.0)].push(entry);
+        for (id, group) in by_shard.iter().enumerate() {
+            if !group.is_empty() {
+                self.append(id, group);
             }
-            for (id, group) in by_shard.iter().enumerate() {
-                if !group.is_empty() {
-                    disk.append(id, group, &self.heals);
-                }
-            }
-        }
-        let mut mem = self.lock_mem();
-        for (digest, record) in entries {
-            mem.insert(digest, record);
         }
     }
 
-    /// Number of entries currently held in memory.
+    /// Number of live entries in the shards touched so far.
     pub fn len(&self) -> usize {
-        self.lock_mem().len()
+        (0..SHARD_COUNT)
+            .map(|id| self.lock_shard(id).index.len())
+            .sum()
     }
 
-    /// Whether the in-memory store is empty.
+    /// Whether no touched shard holds a live entry.
     pub fn is_empty(&self) -> bool {
-        self.lock_mem().is_empty()
+        self.len() == 0
     }
 
-    /// Counters and per-shard occupancy. Opens (scans) any shard not yet
+    /// Counters and per-shard occupancy. Loads any shard not yet
     /// touched, so the numbers reflect the directory, not just this
     /// process's traffic.
     pub fn stats(&self) -> CacheStats {
-        let mut shards = Vec::new();
-        if let Some(disk) = &self.disk {
-            for id in 0..SHARD_COUNT {
-                let mut shard = disk.lock_shard(id);
-                disk.ensure_open(id, &mut shard, &self.heals);
-                shards.push(ShardStats {
+        let mut shards: Vec<ShardStats> = (0..SHARD_COUNT)
+            .map(|id| {
+                let shard = self.open_shard(id);
+                ShardStats {
                     entries: shard.index.len(),
-                    segment_bytes: shard.bytes,
-                });
-            }
+                    segment_bytes: shard.log.len() as u64,
+                }
+            })
+            .collect();
+        let mem_entries = shards.iter().map(|s| s.entries).sum();
+        if self.dir.is_none() {
+            // Shard rows describe segment files; this cache has none.
+            shards.clear();
         }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             heal_events: self.heals.load(Ordering::Relaxed),
-            mem_entries: self.len(),
+            mem_entries,
             shards,
         }
     }
 
-    /// Disk half of [`get`](Self::get): index lookup, then a seek+read of
-    /// the body bytes.
-    fn disk_get(&self, digest: &Digest) -> Option<Record> {
-        let disk = self.disk.as_ref()?;
-        let id = shard_of(digest);
-        let mut shard = disk.lock_shard(id);
-        disk.ensure_open(id, &mut shard, &self.heals);
-        let span = *shard.index.get(digest)?;
-        let Some(rec) = disk.read_span(id, span) else {
-            // Heal-by-forgetting: drop the poisoned index entry so the
-            // recomputed result can take the address back.
-            shard.index.remove(digest);
-            self.heals.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        Some(rec)
+    /// Lock one shard, recovering from poisoning: the log only grows, and
+    /// an index entry is inserted only after its bytes are in the log, so
+    /// a panic mid-update leaves at worst unindexed (superseded) bytes.
+    fn lock_shard(&self, id: usize) -> MutexGuard<'_, Shard> {
+        self.shards[id]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Lock the map, recovering from poisoning: a worker that panicked
-    /// mid-insert leaves the map structurally intact (inserts are
-    /// atomic at this level), so the data is still usable.
-    fn lock_mem(&self) -> MutexGuard<'_, BTreeMap<Digest, Record>> {
-        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Lock one shard, loading its segment on first touch.
+    fn open_shard(&self, id: usize) -> MutexGuard<'_, Shard> {
+        let mut shard = self.lock_shard(id);
+        if !shard.opened {
+            shard.opened = true;
+            if let Some(dir) = &self.dir {
+                self.load_segment(&segment_path(dir, id), &mut shard);
+            }
+        }
+        shard
     }
+
+    /// Read the segment into the log and index its entries; on the first
+    /// malformed header or short body, truncate the file back to the end
+    /// of the last whole entry (one heal event) — the lost tail simply
+    /// re-runs as misses.
+    fn load_segment(&self, path: &Path, shard: &mut Shard) {
+        let Ok(bytes) = fs::read(path) else {
+            return;
+        };
+        shard.log = bytes;
+        let end = shard.index_from(0);
+        if end < shard.log.len() {
+            // Corrupt tail: keep the healthy prefix, drop the rest.
+            self.heals.fetch_add(1, Ordering::Relaxed);
+            shard.log.truncate(end);
+            if let Ok(f) = fs::OpenOptions::new().write(true).open(path) {
+                let _ = f.set_len(end as u64);
+            }
+        }
+    }
+
+    /// Append a group of records to shard `id`: one write to the log and
+    /// one to the segment file, then compaction if the rule calls for it.
+    /// The file write is best-effort (a full disk degrades to an
+    /// in-memory cache, silently).
+    fn append(&self, id: usize, group: &[(Digest, Record)]) {
+        // Encode outside the lock.
+        let mut buf = Vec::new();
+        for (digest, record) in group {
+            let body = record.encode();
+            let _ = writeln!(buf, "{ENTRY_MAGIC} {} {}", digest.to_hex(), body.len());
+            buf.extend_from_slice(body.as_bytes());
+        }
+
+        let mut shard = self.open_shard(id);
+        if let Some(dir) = &self.dir {
+            let _ = fs::create_dir_all(dir).and_then(|()| {
+                fs::OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(segment_path(dir, id))?
+                    .write_all(&buf)
+            });
+        }
+        let start = shard.log.len();
+        shard.log.extend_from_slice(&buf);
+        shard.index_from(start);
+        if shard.needs_compaction(self.rotate_bytes) {
+            self.compact(id, &mut shard);
+        }
+    }
+
+    /// Compaction: rewrite the log with only the live (indexed) entries,
+    /// and the segment via temp file + rename so a concurrent reader
+    /// never sees a half-written segment. Best-effort — on any failure
+    /// the shard is left as it was and compaction is retried on the next
+    /// append.
+    fn compact(&self, id: usize, shard: &mut Shard) {
+        let mut live = Shard {
+            opened: true,
+            log: Vec::with_capacity(shard.live_bytes),
+            ..Shard::default()
+        };
+        for span in shard.index.values() {
+            live.log.extend_from_slice(&shard.log[span.start..span.end]);
+        }
+        live.index_from(0);
+        if let Some(dir) = &self.dir {
+            let suffix = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+            let tmp = dir.join(format!(".rotate-{id:02x}-{}-{suffix}", std::process::id()));
+            if fs::write(&tmp, &live.log)
+                .and_then(|()| fs::rename(&tmp, segment_path(dir, id)))
+                .is_err()
+            {
+                let _ = fs::remove_file(&tmp);
+                return;
+            }
+        }
+        *shard = live;
+    }
+}
+
+fn segment_path(dir: &Path, id: usize) -> PathBuf {
+    dir.join(format!("shard-{id:02x}.seg"))
 }
 
 /// Shard owning `digest`: its leading hex digit.
@@ -286,188 +409,33 @@ fn shard_of(digest: &Digest) -> usize {
     (digest.hi >> 60) as usize
 }
 
-impl DiskStore {
-    fn segment_path(&self, id: usize) -> PathBuf {
-        self.dir.join(format!("shard-{id:02x}.seg"))
+/// Parse the entry starting at `start`: the fixed-layout header
+/// `axcc1 <32 hex digits> <1–20 decimal digits>\n`, then a body of that
+/// many bytes, all of which must be present. Returns the digest and the
+/// entry's span, or `None` if any part is malformed or cut short.
+fn parse_entry(bytes: &[u8], start: usize) -> Option<(Digest, Span)> {
+    let rest = bytes
+        .get(start..)?
+        .strip_prefix(ENTRY_MAGIC.as_bytes())?
+        .strip_prefix(b" ")?;
+    let hex = std::str::from_utf8(rest.get(..DIGEST_HEX_LEN)?).ok()?;
+    let digest = Digest::from_hex(hex)?;
+    let rest = rest[DIGEST_HEX_LEN..].strip_prefix(b" ")?;
+    let digits = rest
+        .iter()
+        .take(MAX_LEN_DIGITS + 1)
+        .position(|&b| b == b'\n')
+        .filter(|&n| n > 0)?;
+    let mut len: usize = 0;
+    for &b in &rest[..digits] {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        len = len.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
     }
-
-    /// Lock one shard, recovering from poisoning (the index is only ever
-    /// updated after a successful write, so it is structurally sound).
-    fn lock_shard(&self, id: usize) -> MutexGuard<'_, Shard> {
-        self.shards[id]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// First-touch opening: scan the segment into the index (truncating a
-    /// corrupt tail).
-    fn ensure_open(&self, id: usize, shard: &mut Shard, heals: &AtomicU64) {
-        if shard.opened {
-            return;
-        }
-        shard.opened = true;
-        self.scan_segment(id, shard, heals);
-    }
-
-    /// Build the index by walking the segment's entries; on the first
-    /// malformed header or short body, truncate the file back to the end
-    /// of the last whole entry (one heal event) — the lost tail simply
-    /// re-runs as misses.
-    fn scan_segment(&self, id: usize, shard: &mut Shard, heals: &AtomicU64) {
-        let path = self.segment_path(id);
-        let Ok(bytes) = fs::read(&path) else {
-            return;
-        };
-        let mut pos: usize = 0;
-        loop {
-            if pos == bytes.len() {
-                shard.bytes = pos as u64;
-                return;
-            }
-            let Some((digest, body_len, body_start)) = parse_entry_header(&bytes, pos) else {
-                break;
-            };
-            let body_end = body_start + body_len;
-            if body_end > bytes.len() {
-                break;
-            }
-            shard.index.insert(
-                digest,
-                Span {
-                    offset: body_start as u64,
-                    len: body_len as u32,
-                },
-            );
-            pos = body_end;
-        }
-        // Corrupt tail: keep the healthy prefix, drop the rest.
-        heals.fetch_add(1, Ordering::Relaxed);
-        shard.bytes = pos as u64;
-        if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
-            let _ = f.set_len(pos as u64);
-        }
-    }
-
-    /// Append a group of records to shard `id` (one segment write),
-    /// updating the index on success and rotating if the segment outgrew
-    /// the threshold.
-    fn append(&self, id: usize, group: &[&(Digest, Record)], heals: &AtomicU64) {
-        let mut shard = self.lock_shard(id);
-        self.ensure_open(id, &mut shard, heals);
-        let pairs: Vec<(&Digest, &Record)> = group.iter().map(|(d, r)| (d, r)).collect();
-        self.append_locked(id, &mut shard, &pairs);
-        if shard.bytes > self.rotate_bytes {
-            self.rotate(id, &mut shard);
-        }
-    }
-
-    /// The raw append: one buffered write of every entry, best-effort (a
-    /// full disk degrades to an in-memory cache, silently).
-    fn append_locked(&self, id: usize, shard: &mut Shard, entries: &[(&Digest, &Record)]) {
-        if fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
-        let mut buf = Vec::new();
-        let mut spans = Vec::with_capacity(entries.len());
-        for (digest, record) in entries {
-            let body = record.encode();
-            let header = format!("{ENTRY_MAGIC} {} {}\n", digest.to_hex(), body.len());
-            let offset = shard.bytes + (buf.len() + header.len()) as u64;
-            buf.extend_from_slice(header.as_bytes());
-            buf.extend_from_slice(body.as_bytes());
-            spans.push((
-                **digest,
-                Span {
-                    offset,
-                    len: body.len() as u32,
-                },
-            ));
-        }
-        let written = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.segment_path(id))
-            .and_then(|mut f| f.write_all(&buf))
-            .is_ok();
-        if written {
-            shard.bytes += buf.len() as u64;
-            for (digest, span) in spans {
-                shard.index.insert(digest, span);
-            }
-        }
-    }
-
-    /// Seek+read one indexed body and decode it.
-    fn read_span(&self, id: usize, span: Span) -> Option<Record> {
-        let mut f = fs::File::open(self.segment_path(id)).ok()?;
-        f.seek(SeekFrom::Start(span.offset)).ok()?;
-        let mut body = vec![0u8; span.len as usize];
-        f.read_exact(&mut body).ok()?;
-        Record::decode(std::str::from_utf8(&body).ok()?)
-    }
-
-    /// Compaction: rewrite the segment with only the live (indexed)
-    /// entries, via temp file + rename so a concurrent reader never sees
-    /// a half-written segment. Best-effort — on any failure the oversized
-    /// segment simply keeps growing until the next rotation attempt.
-    fn rotate(&self, id: usize, shard: &mut Shard) {
-        let mut live: Vec<(Digest, Record)> = Vec::with_capacity(shard.index.len());
-        for (digest, span) in &shard.index {
-            let Some(rec) = self.read_span(id, *span) else {
-                return;
-            };
-            live.push((*digest, rec));
-        }
-        let mut buf = Vec::new();
-        let mut index = BTreeMap::new();
-        for (digest, record) in &live {
-            let body = record.encode();
-            let header = format!("{ENTRY_MAGIC} {} {}\n", digest.to_hex(), body.len());
-            index.insert(
-                *digest,
-                Span {
-                    offset: (buf.len() + header.len()) as u64,
-                    len: body.len() as u32,
-                },
-            );
-            buf.extend_from_slice(header.as_bytes());
-            buf.extend_from_slice(body.as_bytes());
-        }
-        let suffix = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".rotate-{id:02x}-{}-{suffix}", std::process::id()));
-        if fs::write(&tmp, &buf).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        if fs::rename(&tmp, self.segment_path(id)).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return;
-        }
-        shard.index = index;
-        shard.bytes = buf.len() as u64;
-    }
-}
-
-/// Parse one `axcc1 <32-hex digest> <len>\n` header starting at `pos`;
-/// returns the digest, body length, and the offset where the body starts.
-fn parse_entry_header(bytes: &[u8], pos: usize) -> Option<(Digest, usize, usize)> {
-    // Headers are short; cap the newline scan so a garbage blob cannot
-    // make us walk the whole segment.
-    let window_end = bytes.len().min(pos + 64);
-    let nl = bytes[pos..window_end].iter().position(|&b| b == b'\n')?;
-    let line = std::str::from_utf8(&bytes[pos..pos + nl]).ok()?;
-    let mut parts = line.split(' ');
-    if parts.next() != Some(ENTRY_MAGIC) {
-        return None;
-    }
-    let digest = Digest::from_hex(parts.next()?)?;
-    let body_len: usize = parts.next()?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((digest, body_len, pos + nl + 1))
+    let body = start + ENTRY_MAGIC.len() + 1 + DIGEST_HEX_LEN + 1 + digits + 1;
+    let end = body.checked_add(len).filter(|&end| end <= bytes.len())?;
+    Some((digest, Span { start, body, end }))
 }
 
 #[cfg(test)]
@@ -644,6 +612,40 @@ mod tests {
         assert!(files.len() <= SHARD_COUNT);
         let warm = ResultCache::with_disk(dir.clone());
         assert_eq!(warm.get(&d), Some(record_of(63.0)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a shard of distinct digests past the rotation
+    /// threshold has nothing superseded, so it is never rewritten (it
+    /// used to be rewritten on every append once over the threshold).
+    #[cfg(unix)]
+    #[test]
+    fn distinct_digests_past_the_threshold_never_rewrite_the_segment() {
+        use std::os::unix::fs::MetadataExt as _;
+        let dir = temp_dir("no-rewrite");
+        let cache = ResultCache::with_disk_rotate_at(dir.clone(), 256);
+        let digests: Vec<Digest> = (0..)
+            .map(|i| digest_of(&format!("distinct-{i}")))
+            .filter(|d| shard_of(d) == 0)
+            .take(20)
+            .collect();
+        let seg = dir.join("shard-00.seg");
+        let mut inode = None;
+        let mut rewrites = 0;
+        for (i, d) in digests.iter().enumerate() {
+            cache.put(*d, record_of(i as f64));
+            let now = fs::metadata(&seg).unwrap().ino();
+            if inode.is_some_and(|before| before != now) {
+                rewrites += 1;
+            }
+            inode = Some(now);
+        }
+        assert_eq!(rewrites, 0, "no entry was superseded");
+        assert!(cache.stats().shards[0].segment_bytes > 256);
+        let warm = ResultCache::with_disk(dir.clone());
+        for (i, d) in digests.iter().enumerate() {
+            assert_eq!(warm.get(d), Some(record_of(i as f64)));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

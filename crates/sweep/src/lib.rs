@@ -22,11 +22,11 @@
 //!   slot vector, so results are reassembled by submission index — which
 //!   is why parallel output is byte-identical to serial output (see
 //!   DESIGN.md, "The sweep subsystem" and §9).
-//! * [`cache`] — content-addressed in-memory + optional on-disk result
-//!   store keyed by the 128-bit job digest. The on-disk layout is
-//!   sharded and log-structured: [`cache::SHARD_COUNT`] append-only
-//!   segment files indexed in memory on open, so a 10⁵-job sweep creates
-//!   O(shards) files, not O(jobs). Record bodies use the exact
+//! * [`cache`] — content-addressed result store keyed by the 128-bit
+//!   job digest: [`cache::SHARD_COUNT`] shards, each an append-only log
+//!   of encoded records plus one digest index. A disk cache mirrors each
+//!   log in a segment file read on first touch, so a 10⁵-job sweep
+//!   creates O(shards) files, not O(jobs). Record bodies use the exact
 //!   bit-pattern [`record::Record`] codec, not JSON, so ±∞ and NaN
 //!   scores round-trip losslessly.
 //! * [`progress`] — wall-clock / jobs-per-second / hit-rate reporting.

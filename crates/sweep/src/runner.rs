@@ -154,7 +154,8 @@ impl SweepRunner {
         SweepRunner::new(1)
     }
 
-    /// Runner whose cache persists under `dir` (one file per digest).
+    /// Runner whose cache persists under `dir` (one segment file per
+    /// shard, see [`crate::cache`]).
     pub fn with_disk_cache(workers: usize, dir: PathBuf) -> Self {
         Self::with_cache_opt(workers, Some(Arc::new(ResultCache::with_disk(dir))))
     }

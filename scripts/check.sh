@@ -38,8 +38,16 @@ cargo run -q -p axcc-cli -- sweep --only churn --smoke --jobs 2 \
   --cache-dir target/sweep-cache-ci > /dev/null
 
 echo "==> axcc sweep --only explore --smoke (parameter-space exploration through the sharded store)"
+rm -rf target/sweep-cache-explore-ci
 cargo run -q -p axcc-cli -- sweep --only explore --smoke --jobs 2 --chunk-size 8 \
-  --cache-dir target/sweep-cache-ci --cache-stats > /dev/null
+  --cache-dir target/sweep-cache-explore-ci --cache-stats > target/explore-cold.txt
+
+echo "==> explore warm rerun: 0 misses and the cold report (cache hit ≡ recompute)"
+cargo run -q -p axcc-cli -- sweep --only explore --smoke --jobs 2 \
+  --cache-dir target/sweep-cache-explore-ci --cache-stats > target/explore-warm.txt
+grep -q ' 0 misses' target/explore-warm.txt
+diff <(grep -v '^result store:' target/explore-cold.txt) \
+  <(grep -v '^result store:' target/explore-warm.txt)
 
 echo "==> bench-sweep --check (snapshot was measured at this engine revision)"
 cargo run -q --release -p axcc-bench --bin bench-sweep -- --check BENCH_sweep.json
