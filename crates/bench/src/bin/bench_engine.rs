@@ -61,8 +61,8 @@ const BERNOULLI: Experiment = Experiment {
 /// Explore's cell shape — two senders from windows 1 and 5 on the
 /// reference link, explore's seed and step budget — over the smoke
 /// parameter grid at every seventh rung of the paper loss ladder
-/// (10⁻⁴ … 10⁻¹), with no clean cells: the explore sweep spends most of
-/// its time in these cells' loss sampling.
+/// (10⁻⁴ … 10⁻¹), with no clean cells: it prices the step loop under
+/// Bernoulli wire loss, the shape of 29 of explore's 30 loss levels.
 fn run_bernoulli(runner: &SweepRunner, budget: RunBudget) -> ExperimentOutcome {
     let steps = budget.steps(PAPER_STEPS, SMOKE_STEPS);
     let options = stream_options_for(MetricSet::SOLO);

@@ -23,8 +23,11 @@
 //!   occasionally ≥ 1 packet), which is exactly what breaks TCP in
 //!   practice and makes the robustness experiments more faithful. The
 //!   count is drawn exactly at every window size by geometric gap
-//!   skipping (see [`sample_loss_fraction`]): one uniform per dropped
-//!   packet plus one, not one per packet.
+//!   skipping, and each sender's gap to its next drop carries over from
+//!   one step to the next: a step that ends before the gap does costs one
+//!   compare, and a run draws one uniform per sender plus one per dropped
+//!   packet (per surviving packet when the rate is above ½), not one per
+//!   sender-step.
 //! * [`LossModel::GilbertElliott`] — a two-state Markov chain per sender:
 //!   a mostly-clean *good* state and a lossy *bad* state with geometric
 //!   sojourn times. This is the classic model of *correlated* loss
@@ -32,10 +35,14 @@
 //!   substrate of the adverse-network gauntlet: uniform and bursty models
 //!   share a mean rate but stress protocols very differently.
 //!
-//! Gilbert–Elliott is *stateful* (the chain's state persists across
-//! steps), so sampling goes through [`LossProcess`], which owns one chain
-//! per sender and, for Bernoulli loss, the gap sampler's per-run
-//! constant.
+//! Gilbert–Elliott and Bernoulli are both *stateful* — a chain's state,
+//! a sender's residual drop gap — so sampling goes through
+//! [`LossProcess`], which owns that state per sender. The carried gap is
+//! exact because per-packet drops are i.i.d. over the whole run: the gap
+//! is memoryless, so each step's count is still Binomial(⌈w⌉, rate) and
+//! independent of every other step's. [`sample_loss_fraction`] is the
+//! per-call sampler for rates that change every step (per-packet
+//! congestion feedback): it starts from a fresh gap each call.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -162,59 +169,113 @@ impl LossModel {
     }
 }
 
-/// The runtime sampler for a [`LossModel`]: owns the per-sender
-/// Gilbert–Elliott chain states (all chains start in the good state) and
-/// the Bernoulli rate's gap-sampling constant, computed once per run.
+/// The runtime sampler for a [`LossModel`]: the model's per-run state.
 ///
-/// `None` and `Constant` never draw. `Bernoulli` draws one uniform per
-/// dropped packet plus one per sampled step (see [`sample_loss_fraction`]).
-/// Gilbert–Elliott draws exactly one transition uniform per sampled step.
+/// * `None`, `Constant` and a zero Bernoulli rate never draw.
+/// * `Bernoulli` keeps one residual drop gap per sender: the common
+///   outcomes (survivals when `rate ≤ ½`, drops otherwise) left before
+///   that sender's next rare one. The gap is memoryless (see the module
+///   docs), so each step's count is still exactly Binomial(⌈w⌉, rate)
+///   and independent across steps. A step whose ⌈w⌉ packets fit inside
+///   the gap costs a compare and a subtraction; a run draws one uniform
+///   per sender plus one per rare outcome. A window of 0 (an idle or
+///   departed sender) leaves the gap untouched.
+/// * Gilbert–Elliott keeps one chain per sender (all start in the good
+///   state) and draws exactly one transition uniform per sampled step.
 #[derive(Debug, Clone)]
 pub struct LossProcess {
-    model: LossModel,
-    /// The Bernoulli model's drop sampler (`None` for every other model,
-    /// and for a zero rate, which never draws).
-    drops: Option<PacketDrops>,
-    /// Per-sender "currently in bad state" flags (Gilbert–Elliott only).
-    in_bad: Vec<bool>,
+    state: ProcessState,
+}
+
+/// [`LossProcess`]'s state, one variant per model so each model's step
+/// reads only its own fields.
+#[derive(Debug, Clone)]
+enum ProcessState {
+    /// No wire loss: `None`, or a zero Bernoulli rate.
+    Off,
+    Constant(f64),
+    Bernoulli(CarriedDrops),
+    GilbertElliott {
+        p_enter: f64,
+        p_exit: f64,
+        loss_good: f64,
+        loss_bad: f64,
+        /// Per-sender "currently in bad state" flags.
+        in_bad: Vec<bool>,
+    },
 }
 
 impl LossProcess {
-    /// A process for `model` serving `n_senders` independent chains.
+    /// A process for `model` serving `n_senders` independent senders.
     pub fn new(model: LossModel, n_senders: usize) -> Self {
-        let drops = match model {
-            LossModel::Bernoulli { rate } if rate > 0.0 => Some(PacketDrops::new(rate)),
-            _ => None,
-        };
-        LossProcess {
-            model,
-            drops,
-            in_bad: vec![false; n_senders],
-        }
-    }
-
-    /// The wire-loss fraction sender `sender` with window `window`
-    /// experiences this step.
-    pub fn sample(&mut self, rng: &mut ChaCha8Rng, sender: usize, window: f64) -> f64 {
-        match self.model {
-            LossModel::None => 0.0,
-            LossModel::Constant { rate } => rate,
-            LossModel::Bernoulli { .. } => self
-                .drops
-                .map_or(0.0, |drops| drops.loss_fraction(rng, window)),
+        let state = match model {
+            LossModel::None => ProcessState::Off,
+            LossModel::Constant { rate } => ProcessState::Constant(rate),
+            LossModel::Bernoulli { rate } if rate > 0.0 => ProcessState::Bernoulli(CarriedDrops {
+                drops: PacketDrops::new(rate),
+                gaps: vec![UNDRAWN; n_senders],
+            }),
+            LossModel::Bernoulli { .. } => ProcessState::Off,
             LossModel::GilbertElliott {
                 p_enter,
                 p_exit,
                 loss_good,
                 loss_bad,
+            } => ProcessState::GilbertElliott {
+                p_enter,
+                p_exit,
+                loss_good,
+                loss_bad,
+                in_bad: vec![false; n_senders],
+            },
+        };
+        LossProcess { state }
+    }
+
+    /// The wire-loss fraction sender `sender` with window `window`
+    /// experiences this step.
+    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, sender: usize, window: f64) -> f64 {
+        match self.state {
+            ProcessState::Off => 0.0,
+            ProcessState::Constant(rate) => rate,
+            ProcessState::Bernoulli(ref mut carried) => carried.loss_fraction(rng, sender, window),
+            ProcessState::GilbertElliott {
+                p_enter,
+                p_exit,
+                loss_good,
+                loss_bad,
+                ref mut in_bad,
             } => {
-                let bad = self.in_bad[sender];
+                let bad = in_bad[sender];
                 let emitted = if bad { loss_bad } else { loss_good };
                 let u = rng.gen::<f64>();
-                self.in_bad[sender] = if bad { u >= p_exit } else { u < p_enter };
+                in_bad[sender] = if bad { u >= p_exit } else { u < p_enter };
                 emitted
             }
         }
+    }
+}
+
+/// The Bernoulli model's per-run state: the rate's drop sampler and each
+/// sender's residual gap ([`UNDRAWN`] until its first draw).
+#[derive(Debug, Clone)]
+struct CarriedDrops {
+    drops: PacketDrops,
+    gaps: Vec<u64>,
+}
+
+impl CarriedDrops {
+    /// Sender `sender`'s loss fraction for a `window`-MSS step, continuing
+    /// from the gap its previous steps left.
+    ///
+    /// Out of line, gap lookup included: the step loop inlines
+    /// [`LossProcess::sample`], and inlining any of the Bernoulli work
+    /// there — even the lookup's bounds check — slowed the
+    /// Gilbert–Elliott gauntlet runs, which never call it, by 9–15%.
+    #[inline(never)]
+    fn loss_fraction<R: Rng + ?Sized>(&mut self, rng: &mut R, sender: usize, window: f64) -> f64 {
+        self.drops
+            .loss_fraction(rng, &mut self.gaps[sender], window)
     }
 }
 
@@ -239,29 +300,45 @@ pub(crate) fn compose_path_loss(keep: f64, wire: f64) -> f64 {
 /// Sample the loss *fraction* a window of `window` MSS experiences when
 /// each of its packets is dropped independently with probability `rate`:
 /// `k/⌈window⌉` with `k ~ Binomial(⌈window⌉, rate)`, drawn exactly at
-/// every window size with one uniform per dropped packet plus one (see
+/// every window size with one uniform per rare outcome plus one (see
 /// [`PacketDrops`]).
 ///
-/// Shared by the Bernoulli wire-loss model, which keeps its fixed rate's
-/// sampler in [`LossProcess`], and the per-packet (unsynchronized)
-/// congestion-feedback mode, whose rate changes every step.
+/// The per-call sampler: it starts from a fresh gap and discards the
+/// residual. The per-packet (unsynchronized) congestion-feedback mode
+/// uses it because its rate changes every step; the Bernoulli wire-loss
+/// model's fixed rate lets [`LossProcess`] carry each sender's gap
+/// across steps instead.
+///
+/// Out of line for the same reason as the carried sampler: the step loop
+/// calls it from its per-packet feedback branch.
+#[inline(never)]
 pub fn sample_loss_fraction(rng: &mut ChaCha8Rng, window: f64, rate: f64) -> f64 {
     if rate <= 0.0 {
         return 0.0;
     }
-    PacketDrops::new(rate).loss_fraction(rng, window)
+    let mut gap = UNDRAWN;
+    PacketDrops::new(rate).loss_fraction(rng, &mut gap, window)
 }
+
+/// A residual gap that has not been drawn yet: [`PacketDrops::loss_fraction`]
+/// draws a fresh one first. A drawn gap that saturates to this value is
+/// redrawn, which the geometric law's memorylessness makes harmless.
+const UNDRAWN: u64 = u64::MAX;
 
 /// Exact Binomial(n, p) drop counts by geometric gap skipping.
 ///
 /// Between two occurrences of the rarer outcome — a drop when `p ≤ ½`, a
 /// survival otherwise — the number of the other outcome is geometric:
 /// with `r = min(p, 1 − p)` and `U` uniform on `(0, 1]`,
-/// `⌊ln U / ln(1 − r)⌋` has `P(≥ g) = (1 − r)^g`. Drawing gaps until they
-/// run past `n` packets counts the rare outcomes among them, a
-/// Binomial(n, r) variate, in `1 + Bin(n, r)` uniforms: expected
-/// `1 + n·min(p, 1 − p)` draws. For `p > ½` the drops are `n` minus the
-/// counted survivors.
+/// `⌊ln U / ln(1 − r)⌋` has `P(≥ g) = (1 − r)^g`. Walking gaps through
+/// `n` packets counts the rare outcomes among them, a Binomial(n, r)
+/// variate, in one uniform per rare outcome: expected `n·min(p, 1 − p)`
+/// draws, plus one for a fresh gap. For `p > ½` the drops are `n` minus
+/// the counted survivors.
+///
+/// The gap left over past the `n`-th packet is again geometric and
+/// independent of the count (memorylessness), so a caller may keep it as
+/// the next window's starting gap instead of drawing a fresh one.
 #[derive(Debug, Clone, Copy)]
 struct PacketDrops {
     /// `ln(1 − r)` for the rarer outcome's probability `r`; negative.
@@ -283,42 +360,55 @@ impl PacketDrops {
         }
     }
 
-    /// `k/⌈window⌉` for `k` drops among `⌈window⌉` packets, kept below 1.
-    ///
-    /// Out of line: the step loop inlines [`LossProcess::sample`], and
-    /// inlining this loop there too slowed the Gilbert–Elliott gauntlet
-    /// runs, which never call it, by about 15%.
-    #[inline(never)]
-    fn loss_fraction<R: Rng + ?Sized>(&self, rng: &mut R, window: f64) -> f64 {
+    /// `k/⌈window⌉` for `k` drops among the next `⌈window⌉` packets of
+    /// the sender whose residual gap is `gap`, kept below 1. A window of
+    /// 0 draws nothing and leaves `gap` untouched.
+    fn loss_fraction<R: Rng + ?Sized>(&self, rng: &mut R, gap: &mut u64, window: f64) -> f64 {
         if window <= 0.0 {
             return 0.0;
         }
         let n = window.ceil() as u64;
-        let k = self.sample_binomial(rng, n);
+        if *gap == UNDRAWN {
+            *gap = self.gap(rng);
+        }
+        let k = self.drops_among(rng, gap, n);
         (k as f64 / n as f64).min(1.0 - f64::EPSILON)
     }
 
-    /// Draw the number of drops among `n` packets.
+    /// Draw the number of drops among `n` packets from a fresh gap.
+    #[cfg(test)]
     fn sample_binomial<R: Rng + ?Sized>(&self, rng: &mut R, n: u64) -> u64 {
+        let mut gap = self.gap(rng);
+        self.drops_among(rng, &mut gap, n)
+    }
+
+    /// The number of drops among the next `n` packets when `gap` common
+    /// outcomes come before the next rare one; leaves in `gap` what
+    /// remains of the last gap past the `n`-th packet.
+    fn drops_among<R: Rng + ?Sized>(&self, rng: &mut R, gap: &mut u64, n: u64) -> u64 {
         let mut rare = 0;
         let mut left = n;
-        loop {
-            // `gen` is uniform on [0, 1), so `u` is uniform on (0, 1] and
-            // the gap is finite and non-negative; `as` floors it and
-            // saturates an overflowing one, which then ends the loop.
-            let u = 1.0 - rng.gen::<f64>();
-            let gap = (u.ln() / self.ln_q) as u64;
-            if gap >= left {
-                break;
-            }
-            left -= gap + 1;
+        let mut g = *gap;
+        while g < left {
+            left -= g + 1;
             rare += 1;
+            g = self.gap(rng);
         }
+        *gap = g - left;
         if self.count_survivors {
             n - rare
         } else {
             rare
         }
+    }
+
+    /// A fresh geometric gap: common outcomes before the next rare one.
+    fn gap<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        // `gen` is uniform on [0, 1), so `u` is uniform on (0, 1] and the
+        // gap is finite and non-negative; `as` floors it and saturates an
+        // overflowing one, which outlasts any run.
+        let u = 1.0 - rng.gen::<f64>();
+        (u.ln() / self.ln_q) as u64
     }
 }
 
@@ -441,11 +531,7 @@ mod tests {
                     counts[drops.sample_binomial(&mut r, n) as usize] += 1;
                 }
                 let (stat, df) = chi_square(&counts, &binomial_log_pmf(n, p), trials);
-                // Wilson–Hilferty upper quantile at z = 4 (one-sided
-                // p ≈ 3·10⁻⁵ per cell).
-                let d = df.max(1) as f64;
-                let h = 2.0 / (9.0 * d);
-                let limit = d * (1.0 - h + 4.0 * h.sqrt()).powi(3);
+                let limit = chi_square_limit(df);
                 assert!(
                     stat <= limit,
                     "n={n} p={p}: chi-square {stat:.1} > {limit:.1} on {df} df"
@@ -526,18 +612,183 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
-        // Two processes agree, and the process's per-run sampler draws
-        // exactly what the per-call `sample_loss_fraction` draws.
-        let m = LossModel::Bernoulli { rate: 0.1 };
-        let mut r1 = rng(5);
-        let mut r2 = rng(5);
-        let mut r3 = rng(5);
-        let mut p1 = LossProcess::new(m, 1);
-        let mut p2 = LossProcess::new(m, 1);
-        for _ in 0..100 {
-            let a = p1.sample(&mut r1, 0, 50.0);
-            assert_eq!(a, p2.sample(&mut r2, 0, 50.0));
-            assert_eq!(a, sample_loss_fraction(&mut r3, 50.0, 0.1));
+        // Two processes fed one seed and one window sequence — several
+        // senders, idle steps, windows on both sides of the gaps — agree
+        // bit for bit; another seed gives another realization.
+        for rate in [0.1, 0.8] {
+            let run = |seed| {
+                let mut r = rng(seed);
+                let mut p = LossProcess::new(LossModel::Bernoulli { rate }, 3);
+                (0..600)
+                    .map(|t| p.sample(&mut r, t % 3, [50.0, 0.0, 2.5, 1e3][(t / 3) % 4]))
+                    .collect::<Vec<f64>>()
+            };
+            assert_eq!(run(5), run(5));
+            assert_ne!(run(5), run(6));
+        }
+    }
+
+    /// Wilson–Hilferty upper quantile of chi-square on `df` degrees of
+    /// freedom at z = 4 (one-sided p ≈ 3·10⁻⁵).
+    fn chi_square_limit(df: usize) -> f64 {
+        let d = df.max(1) as f64;
+        let h = 2.0 / (9.0 * d);
+        d * (1.0 - h + 4.0 * h.sqrt()).powi(3)
+    }
+
+    /// The drop count behind a sampled loss fraction of an `n`-packet
+    /// window.
+    fn count(fraction: f64, n: u64) -> u64 {
+        (fraction * n as f64).round() as u64
+    }
+
+    /// The residual gap `LossProcess` carries for `sender`.
+    fn carried_gap(p: &LossProcess, sender: usize) -> u64 {
+        match &p.state {
+            ProcessState::Bernoulli(carried) => carried.gaps[sender],
+            other => panic!("not a Bernoulli process: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn carried_counts_fit_the_exact_pmf_across_window_changes() {
+        // One sender's window alternates tiny and huge, so every tiny
+        // step starts from a gap a huge step left over (and vice versa).
+        // A wrong carry skews the step right after a change of window.
+        let windows: [u64; 6] = [1, 10_000, 2, 1000, 3, 4000];
+        for p in [0.01, 0.1, 0.9, 0.99] {
+            let rounds = 4000;
+            let mut r = rng(2018);
+            let mut process = LossProcess::new(LossModel::Bernoulli { rate: p }, 1);
+            let mut counts: Vec<Vec<u64>> =
+                windows.iter().map(|&n| vec![0; n as usize + 1]).collect();
+            for _ in 0..rounds {
+                for (slot, &n) in windows.iter().enumerate() {
+                    let k = count(process.sample(&mut r, 0, n as f64), n);
+                    counts[slot][k as usize] += 1;
+                }
+            }
+            for (slot, &n) in windows.iter().enumerate() {
+                let (stat, df) = chi_square(&counts[slot], &binomial_log_pmf(n, p), rounds);
+                let limit = chi_square_limit(df);
+                assert!(
+                    stat <= limit,
+                    "p={p} window {n}: chi-square {stat:.1} > {limit:.1} on {df} df"
+                );
+            }
+        }
+    }
+
+    /// Pearson's statistic for independence of the rows and columns of a
+    /// contingency table, and its degrees of freedom (rows and columns
+    /// that saw nothing are left out).
+    fn contingency_chi_square(table: &[Vec<u64>]) -> (f64, usize) {
+        let rows: Vec<f64> = table
+            .iter()
+            .map(|row| row.iter().sum::<u64>() as f64)
+            .collect();
+        let cols: Vec<f64> = (0..table[0].len())
+            .map(|j| table.iter().map(|row| row[j]).sum::<u64>() as f64)
+            .collect();
+        let total: f64 = rows.iter().sum();
+        let mut stat = 0.0;
+        for (i, row) in table.iter().enumerate() {
+            for (j, &observed) in row.iter().enumerate() {
+                let expected = rows[i] * cols[j] / total;
+                if expected > 0.0 {
+                    stat += (observed as f64 - expected).powi(2) / expected;
+                }
+            }
+        }
+        let used = |v: &[f64]| v.iter().filter(|&&x| x > 0.0).count() - 1;
+        (stat, used(&rows) * used(&cols))
+    }
+
+    #[test]
+    fn consecutive_carried_counts_are_independent() {
+        // Counts of two consecutive 3-packet steps, tabulated jointly: a
+        // carry that leaks the first step's count into the second's gap
+        // correlates them. Every cell expects ≥ 50 at 50 000 pairs.
+        for p in [0.3, 0.7] {
+            let mut r = rng(2019);
+            let mut process = LossProcess::new(LossModel::Bernoulli { rate: p }, 1);
+            let mut table = vec![vec![0u64; 4]; 4];
+            for _ in 0..50_000 {
+                let first = count(process.sample(&mut r, 0, 3.0), 3);
+                let second = count(process.sample(&mut r, 0, 3.0), 3);
+                table[first as usize][second as usize] += 1;
+            }
+            let (stat, df) = contingency_chi_square(&table);
+            let limit = chi_square_limit(df);
+            assert_eq!(df, 9);
+            assert!(
+                stat <= limit,
+                "p={p}: independence chi-square {stat:.1} > {limit:.1} on {df} df"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_draws_one_uniform_per_sender_and_per_rare_outcome() {
+        // Four senders over 5000 steps with windows from 0.5 to 100 MSS;
+        // sender 3 is idle (window 0) for a fifth of the run. Draws are
+        // bounded by senders + Σ rare outcomes, not by sender-steps.
+        let (senders, steps) = (4usize, 5000usize);
+        for p in [1e-3, 0.3, 0.9] {
+            let mut r = Counting(rng(29), 0);
+            let mut process = LossProcess::new(LossModel::Bernoulli { rate: p }, senders);
+            let mut rare = 0u64;
+            for t in 0..steps {
+                for i in 0..senders {
+                    let idle = i == 3 && t % 5 == 0;
+                    let w = if idle {
+                        0.0
+                    } else {
+                        0.5 * (1 + (7 * t + 13 * i) % 200) as f64
+                    };
+                    let k = count(process.sample(&mut r, i, w), w.ceil() as u64);
+                    rare += if p > 0.5 { w.ceil() as u64 - k } else { k };
+                }
+            }
+            let bound = senders as f64 + 1.05 * rare as f64 + 2.0;
+            assert!(
+                (r.1 as f64) <= bound,
+                "p={p}: {} draws, bound {bound} ({rare} rare outcomes)",
+                r.1
+            );
+            if p < 0.01 {
+                assert!(r.1 < (senders * steps / 10) as u64, "p={p}: {} draws", r.1);
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_sender_keeps_its_gap_and_stays_exact_when_it_returns() {
+        // Sender 1 sends one 1000-packet step, leaves for 1–4 steps
+        // (window 0) while sender 0 keeps drawing, then returns with 3
+        // packets. Idle steps draw nothing and leave its gap as it was;
+        // the return step's count is exactly Binomial(3, p).
+        for p in [0.05, 0.95] {
+            let rounds = 6000u64;
+            let mut r = Counting(rng(31), 0);
+            let mut process = LossProcess::new(LossModel::Bernoulli { rate: p }, 2);
+            let mut returns = vec![0u64; 4];
+            for round in 0..rounds {
+                process.sample(&mut r, 1, 1000.0);
+                for _ in 0..=round % 4 {
+                    let (gap, draws) = (carried_gap(&process, 1), r.1);
+                    assert_eq!(process.sample(&mut r, 1, 0.0), 0.0);
+                    assert_eq!((carried_gap(&process, 1), r.1), (gap, draws));
+                    process.sample(&mut r, 0, 20.0);
+                }
+                returns[count(process.sample(&mut r, 1, 3.0), 3) as usize] += 1;
+            }
+            let (stat, df) = chi_square(&returns, &binomial_log_pmf(3, p), rounds);
+            let limit = chi_square_limit(df);
+            assert!(
+                stat <= limit,
+                "p={p}: return-step chi-square {stat:.1} > {limit:.1} on {df} df"
+            );
         }
     }
 

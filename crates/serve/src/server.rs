@@ -35,7 +35,7 @@ use crate::worker::{execute, request_runner};
 use axcc_sweep::ResultCache;
 use serde_json::{Map, Value};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -50,6 +50,12 @@ const TICK: Duration = Duration::from_millis(25);
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
 /// How often the timekeeper scans deadlines.
 const DEADLINE_SCAN: Duration = Duration::from_millis(10);
+/// The longest request line a connection buffers, in bytes: far above
+/// any request the wire protocol defines (an `eval` is a few hundred
+/// bytes). A longer line is answered with `bad-request` and ends the
+/// connection, so a client cannot grow a connection's buffer without
+/// bound.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -457,10 +463,20 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         match read_half.read(&mut chunk) {
             Ok(0) => return, // client hung up
             Ok(n) => {
+                // Bytes already in `buf` hold no newline: scan only the
+                // new ones, and drain the finished lines once.
+                let mut from = buf.len();
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    let text = String::from_utf8_lossy(&line);
+                let mut start = 0;
+                while let Some(offset) = buf[from..].iter().position(|&b| b == b'\n') {
+                    let line = &buf[start..from + offset];
+                    start = from + offset + 1;
+                    from = start;
+                    if line.len() > MAX_REQUEST_LINE {
+                        refuse_long_line(&mut read_half, &write_half, shared, idle_limit);
+                        return;
+                    }
+                    let text = String::from_utf8_lossy(line);
                     let text = text.trim();
                     if text.is_empty() {
                         continue;
@@ -468,10 +484,43 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     last_activity = Instant::now();
                     handle_line(text, &write_half, shared);
                 }
+                buf.drain(..start);
+                if buf.len() > MAX_REQUEST_LINE {
+                    refuse_long_line(&mut read_half, &write_half, shared, idle_limit);
+                    return;
+                }
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
                 continue;
             }
+            Err(_) => return,
+        }
+    }
+}
+
+/// Answer a request line longer than [`MAX_REQUEST_LINE`] with
+/// `bad-request`, then end the connection: half-close it and discard
+/// what the client still sends until it hangs up, the daemon shuts down
+/// or `linger` passes. Closing with unread bytes would reset the
+/// connection, which can destroy the reply before the client reads it.
+fn refuse_long_line(
+    read_half: &mut TcpStream,
+    out: &Arc<Mutex<TcpStream>>,
+    shared: &Arc<Shared>,
+    linger: Duration,
+) {
+    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    shared.counters.bump_error(ErrorKind::BadRequest);
+    let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+    Responder::new(out.clone()).send_once(&err_line(&Value::Null, ErrorKind::BadRequest, &message));
+    let _ = read_half.shutdown(Shutdown::Write);
+    let started = Instant::now();
+    let mut sink = [0u8; 4096];
+    while !shared.shutdown.load(Ordering::SeqCst) && started.elapsed() < linger {
+        match read_half.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {}
             Err(_) => return,
         }
     }

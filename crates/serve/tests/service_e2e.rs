@@ -9,7 +9,7 @@ use axcc_serve::protocol::{parse_response, ErrorKind, ParsedResponse};
 use axcc_serve::{start, ServeConfig, ServerHandle};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 /// A line-oriented test client with a read timeout so a missing
@@ -341,5 +341,52 @@ fn debug_ops_are_refused_unless_enabled() {
     let (kind, msg) = expect_err(&r);
     assert_eq!(kind, ErrorKind::BadRequest);
     assert!(msg.contains("debug ops"), "{msg}");
+    let _ = shutdown_and_join(server);
+}
+
+#[test]
+fn an_endless_line_is_refused_and_the_daemon_keeps_serving() {
+    let server = debug_server(|_| {});
+    let mut client = Client::connect(&server);
+
+    // 2 MiB with no newline: past the line cap, so the daemon answers
+    // bad-request (null id: nothing was parsed) and ends the connection.
+    let payload = vec![b'x'; 2 << 20];
+    client.writer.write_all(&payload).expect("send payload");
+    let r = client.recv();
+    assert!(r.id.is_null());
+    let (kind, msg) = expect_err(&r);
+    assert_eq!(kind, ErrorKind::BadRequest);
+    assert!(msg.contains("longer than"), "{msg}");
+    client.writer.shutdown(Shutdown::Write).expect("hang up");
+    let mut rest = String::new();
+    let closed = client.reader.read_line(&mut rest).expect("read to end");
+    assert_eq!(closed, 0, "connection still open: {rest:?}");
+
+    let mut fresh = Client::connect(&server);
+    let r = fresh.roundtrip(r#"{"id": 1, "op": "ping"}"#);
+    assert_eq!(
+        r.outcome.unwrap().get("pong").and_then(Value::as_bool),
+        Some(true)
+    );
+    let report = shutdown_and_join(server);
+    assert_eq!(report.bad_requests, 1, "{report:?}");
+}
+
+#[test]
+fn a_request_written_one_byte_at_a_time_still_parses() {
+    let server = debug_server(|_| {});
+    let mut client = Client::connect(&server);
+    client.writer.set_nodelay(true).expect("nodelay");
+    for &b in br#"{"id": 7, "op": "ping"}"#.iter().chain(b"\n") {
+        client.writer.write_all(&[b]).expect("send byte");
+        client.writer.flush().expect("flush byte");
+    }
+    let r = client.recv();
+    assert_eq!(r.id.as_u64(), Some(7));
+    assert_eq!(
+        r.outcome.unwrap().get("pong").and_then(Value::as_bool),
+        Some(true)
+    );
     let _ = shutdown_and_join(server);
 }

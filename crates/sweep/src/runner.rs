@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// protocol dynamics) invalidates previously cached results. The
 /// revision is mixed into every job digest, so old cache entries are
 /// simply never addressed again.
-pub const ENGINE_REVISION: u32 = 3;
+pub const ENGINE_REVISION: u32 = 4;
 
 /// Default engine tag: crate version + engine revision.
 fn default_engine_tag() -> String {

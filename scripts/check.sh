@@ -49,6 +49,9 @@ grep -q ' 0 misses' target/explore-warm.txt
 diff <(grep -v '^result store:' target/explore-cold.txt) \
   <(grep -v '^result store:' target/explore-warm.txt)
 
+echo "==> results/ regenerate byte-identically (README's writer commands, --no-cache)"
+scripts/regen-results.sh target/results-ci
+
 echo "==> bench-sweep --check (snapshot was measured at this engine revision)"
 cargo run -q --release -p axcc-bench --bin bench-sweep -- --check BENCH_sweep.json
 
